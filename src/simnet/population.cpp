@@ -97,14 +97,27 @@ std::shared_ptr<const Population::Block> Population::build_block(
 std::shared_ptr<const Population::Block> Population::block_for(
     LineId line) const {
   const std::uint32_t index = line / kBlockLines;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (CacheSlot& slot : cache_) {
-    if (slot.block && slot.index == index) {
-      slot.last_use = ++cache_clock_;
-      return slot.block;
+  // Caller holds cache_mutex_.
+  const auto cached = [&]() -> std::shared_ptr<const Block> {
+    for (CacheSlot& slot : cache_) {
+      if (slot.index == index) {
+        slot.last_use = ++cache_clock_;
+        return slot.block;
+      }
+    }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (std::shared_ptr<const Block> hit = cached()) {
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return hit;
     }
   }
   std::shared_ptr<const Block> block = build_block(index);
+  cache_builds_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (std::shared_ptr<const Block> raced = cached()) return raced;
   cached_bytes_.fetch_add(block->bytes(), std::memory_order_relaxed);
   if (cache_.size() < config_.cache_blocks) {
     cache_.push_back({index, ++cache_clock_, block});
@@ -116,9 +129,16 @@ std::shared_ptr<const Population::Block> Population::block_for(
         });
     cached_bytes_.fetch_sub(victim->block->bytes(),
                             std::memory_order_relaxed);
+    cache_evictions_.fetch_add(1, std::memory_order_relaxed);
     *victim = {index, ++cache_clock_, block};
   }
   return block;
+}
+
+Population::CacheStats Population::cache_stats() const noexcept {
+  return {cache_hits_.load(std::memory_order_relaxed),
+          cache_builds_.load(std::memory_order_relaxed),
+          cache_evictions_.load(std::memory_order_relaxed)};
 }
 
 std::span<const OwnedDevice> Population::devices_of(LineId line) const {
@@ -128,17 +148,18 @@ std::span<const OwnedDevice> Population::devices_of(LineId line) const {
   return devices;
 }
 
-void Population::for_each_active_line(
-    const std::function<void(LineId, std::span<const OwnedDevice>)>& fn)
-    const {
-  const std::uint32_t blocks =
-      (config_.lines + kBlockLines - 1) / kBlockLines;
-  for (std::uint32_t index = 0; index < blocks; ++index) {
-    const std::shared_ptr<const Block> block =
-        block_for(static_cast<LineId>(index) * kBlockLines);
-    for (const LineId line : block->active) {
-      fn(line, block->devices_of(line));
-    }
+void Population::for_each_active_line(const ActiveLineFn& fn) const {
+  for (std::uint32_t index = 0; index < block_count(); ++index) {
+    for_each_active_line_in_block(index, fn);
+  }
+}
+
+void Population::for_each_active_line_in_block(std::uint32_t index,
+                                               const ActiveLineFn& fn) const {
+  const std::shared_ptr<const Block> block =
+      block_for(static_cast<LineId>(index) * kBlockLines);
+  for (const LineId line : block->active) {
+    fn(line, block->devices_of(line));
   }
 }
 

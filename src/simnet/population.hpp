@@ -15,7 +15,9 @@
 // while populations up to cache_blocks · kBlockLines lines (256 k at the
 // defaults — larger than every pre-scale workload) stay fully resident and
 // behave exactly like the old materialized CSR. Streaming consumers use
-// for_each_active_line, which walks blocks in order without retaining them.
+// for_each_active_line (all blocks in order) or for_each_active_line_in_block
+// (one block, for block-parallel consumers); every walked block goes through
+// the LRU, so a walk over more blocks than the cache holds rebuilds them all.
 //
 // Addressing model: each line lives in a regional pool of four /24s shared
 // with 63 neighbours. Identifier rotation (router reboots, daily
@@ -83,11 +85,33 @@ class Population {
   /// should prefer for_each_active_line).
   [[nodiscard]] std::span<const OwnedDevice> devices_of(LineId line) const;
 
+  using ActiveLineFn =
+      std::function<void(LineId, std::span<const OwnedDevice>)>;
+
   /// Streams every line owning at least one device, ascending, with its
   /// devices. The span is valid only during the callback.
-  void for_each_active_line(
-      const std::function<void(LineId, std::span<const OwnedDevice>)>& fn)
-      const;
+  void for_each_active_line(const ActiveLineFn& fn) const;
+
+  /// Number of ownership blocks: ceil(line_count() / kBlockLines).
+  [[nodiscard]] std::uint32_t block_count() const noexcept {
+    return (config_.lines + kBlockLines - 1) / kBlockLines;
+  }
+
+  /// for_each_active_line restricted to block `index` (lines
+  /// [index · kBlockLines, (index + 1) · kBlockLines)). Safe to call from
+  /// several threads at once, for the same or different blocks.
+  void for_each_active_line_in_block(std::uint32_t index,
+                                     const ActiveLineFn& fn) const;
+
+  /// Ownership-block cache counters since construction. `builds` counts
+  /// every regeneration (a miss); two threads missing the same block at
+  /// once both build it, and the first insert wins.
+  struct CacheStats {
+    std::uint64_t hits = 0;
+    std::uint64_t builds = 0;
+    std::uint64_t evictions = 0;
+  };
+  [[nodiscard]] CacheStats cache_stats() const noexcept;
 
   /// Number of lines owning at least one device (computed on first use via
   /// one streaming pass, then cached).
@@ -159,10 +183,12 @@ class Population {
   PopulationConfig config_;
   std::vector<Candidate> candidates_;
 
-  // LRU over block index → block; guarded by cache_mutex_. Hot path is a
-  // hash lookup + recency bump; regeneration happens outside the lock is
-  // not needed at this tier (block builds are rare and cheap relative to
-  // the per-line simulation work they feed).
+  // LRU over block index → block; guarded by cache_mutex_. A hit is a
+  // linear scan of the cache_blocks slots plus a recency bump. A miss
+  // builds the block outside the lock (~1 ms, so concurrent callers never
+  // queue behind it), then re-scans and inserts; if another thread
+  // inserted the same block meanwhile, its copy wins (blocks are pure
+  // functions of (seed, index), so the copies are identical).
   mutable std::mutex cache_mutex_;
   struct CacheSlot {
     std::uint32_t index = 0;
@@ -172,6 +198,9 @@ class Population {
   mutable std::vector<CacheSlot> cache_;
   mutable std::uint64_t cache_clock_ = 0;
   mutable std::atomic<std::uint64_t> cached_bytes_{0};
+  mutable std::atomic<std::uint64_t> cache_hits_{0};
+  mutable std::atomic<std::uint64_t> cache_builds_{0};
+  mutable std::atomic<std::uint64_t> cache_evictions_{0};
 
   // active_line_count / device_penetration are one full streaming pass;
   // computed once on demand.

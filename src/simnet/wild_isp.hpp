@@ -56,8 +56,20 @@ class WildIspSim {
   WildIspSim(const Backend& backend, const Population& population,
              const DomainRateModel& rates, const WildIspConfig& config);
 
-  /// Emits every sampled observation for one hour into `sink`.
+  /// Emits every sampled observation for one hour into `sink`, in ascending
+  /// line order. Population blocks are generated on
+  /// min(usable CPUs − 1, blocks) worker threads into at most workers + 1
+  /// block buffers and handed to `sink` on the calling thread in block
+  /// order, so the sequence is identical at every worker count. With no
+  /// spare CPU or fewer than two blocks it streams inline, unbuffered. An
+  /// exception thrown by `sink` propagates after every worker has stopped.
+  /// Safe to call concurrently on one instance.
   void hour_observations(util::HourBin hour, const Sink& sink) const;
+
+  /// As above with an explicit worker count (0 streams inline); lets tests
+  /// pin the ordering guarantee on any machine.
+  void hour_observations(util::HourBin hour, const Sink& sink,
+                         unsigned workers) const;
 
   /// True when a device instance (line, device index) is in active use in
   /// the given hour; exposed so the usage analysis (Fig. 18) can compare
@@ -78,11 +90,26 @@ class WildIspSim {
   }
 
  private:
+  struct Hour;  // per-hour constants shared by every line of the hour
+
+  // Per device-hour usage draw behind device_active (salt kActiveSalt) and
+  // device_heavy (kHeavySalt): a Bernoulli with probability base_prob
+  // scaled by the unit's diurnal strength.
+  [[nodiscard]] bool usage_draw(LineId line, std::uint32_t device_index,
+                                UnitId unit, util::HourBin hour,
+                                double base_prob, std::uint64_t salt) const;
+
+  // Generates one line's observations for the hour, passing each to emit.
+  template <typename Emit>
+  void line_observations(const Hour& h, LineId line,
+                         std::span<const OwnedDevice> devices,
+                         Emit&& emit) const;
+
   const Backend& backend_;
   const Population& population_;
   const DomainRateModel& rates_;
   WildIspConfig config_;
-  // Unit ancestor chains, precomputed: chain_units_[u] lists u and all
+  // Unit ancestor chains, precomputed: chains_[u] lists u and all
   // ancestors.
   std::vector<std::vector<UnitId>> chains_;
 };

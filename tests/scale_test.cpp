@@ -17,13 +17,21 @@
 //     invariant (the `>=` growth fix), memory_bytes() accounting, and
 //     iteration completeness across every rehash step;
 //   - HSCK v3 / HSVD v2 compact forms restore bit-identical evidence and
-//     are strictly smaller than the formats they succeed.
+//     are strictly smaller than the formats they succeed;
+//   - the block-parallel wild-ISP generator emits the exact observation
+//     sequence of the single-threaded one at every worker count, under
+//     concurrent callers and when its sink throws, and the block cache
+//     counts the rebuilds a walk over more blocks than it holds costs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -32,7 +40,10 @@
 #include "core/sharded_detector.hpp"
 #include "flow/delta_wire.hpp"
 #include "net/prefix.hpp"
+#include "simnet/backend.hpp"
 #include "simnet/population.hpp"
+#include "simnet/rates.hpp"
+#include "simnet/wild_isp.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -197,6 +208,191 @@ TEST(ScalePopulation, BlockCacheMemoryStaysBounded) {
   // under 4 MiB; the old CSR held ~15M offsets + ~5M devices (>100 MiB).
   EXPECT_LT(peak, 4u << 20);
   EXPECT_GT(peak, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Block-parallel wild-ISP generation.
+
+// Catalog, backends and rates shared by every generator test.
+class ScaleWildGenerator : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new simnet::Catalog();
+    backend_ = new simnet::Backend(*catalog_, simnet::BackendConfig{});
+    rates_ = new simnet::DomainRateModel(*catalog_, 7);
+  }
+  static void TearDownTestSuite() {
+    delete rates_;
+    delete backend_;
+    delete catalog_;
+  }
+
+  // A population of `lines` plus its generator.
+  struct World {
+    World(std::uint32_t lines)
+        : population{*catalog_, {.seed = 99, .lines = lines}},
+          wild{*backend_, population, *rates_, simnet::WildIspConfig{}} {}
+    simnet::Population population;
+    simnet::WildIspSim wild;
+  };
+
+  struct Digest {
+    std::uint64_t count = 0;
+    std::uint64_t hash = 0;
+    friend bool operator==(const Digest&, const Digest&) = default;
+  };
+
+  // Order-dependent hash over every field of every emitted observation.
+  static void fold(Digest& d, const simnet::WildObs& o) {
+    const flow::FlowRecord& r = o.flow;
+    for (const std::uint64_t v :
+         {std::uint64_t{o.line}, o.subscriber.hash(), std::uint64_t{o.unit},
+          std::uint64_t{o.domain_index}, r.key.src.hash(), r.key.dst.hash(),
+          (std::uint64_t{r.key.src_port} << 24) |
+              (std::uint64_t{r.key.dst_port} << 8) | r.key.proto,
+          r.packets, r.bytes, std::uint64_t{r.tcp_flags}, r.start_ms,
+          r.end_ms, std::uint64_t{r.sampling}}) {
+      d.hash = util::hash_combine(d.hash, v);
+    }
+    ++d.count;
+  }
+
+  static Digest digest(const simnet::WildIspSim& wild, util::HourBin hour,
+                       std::optional<unsigned> workers) {
+    Digest d;
+    const auto sink = [&d](const simnet::WildObs& o) { fold(d, o); };
+    if (workers) {
+      wild.hour_observations(hour, sink, *workers);
+    } else {
+      wild.hour_observations(hour, sink);
+    }
+    return d;
+  }
+
+  // Digests of the single-threaded generator before it was parallelised
+  // (seed-99 population, default WildIspConfig).
+  struct Pin {
+    std::uint32_t lines;
+    util::HourBin hour;
+    Digest digest;
+  };
+  static constexpr Pin kPins[] = {
+      {270'000, 0, {614'825, 0xe9288877d78fd840}},
+      {270'000, 200, {858'548, 0xe2ed6cb53e9ac30f}},
+      {3'000, 0, {6'427, 0x6a02cb0a0207a1a4}},
+      {3'000, 200, {8'584, 0xe96d65b580c1fde4}},
+  };
+
+  static simnet::Catalog* catalog_;
+  static simnet::Backend* backend_;
+  static simnet::DomainRateModel* rates_;
+};
+
+simnet::Catalog* ScaleWildGenerator::catalog_ = nullptr;
+simnet::Backend* ScaleWildGenerator::backend_ = nullptr;
+simnet::DomainRateModel* ScaleWildGenerator::rates_ = nullptr;
+
+TEST_F(ScaleWildGenerator, SequencePinnedAtEveryWorkerCount) {
+  // 270 k lines is 66 blocks (more than the 64-block cache); 3 k lines is
+  // one block, which always streams inline.
+  for (const std::uint32_t lines : {270'000u, 3'000u}) {
+    const World world{lines};
+    for (const Pin& pin : kPins) {
+      if (pin.lines != lines) continue;
+      for (const std::optional<unsigned> workers :
+           {std::optional<unsigned>{}, std::optional<unsigned>{0u},
+            std::optional<unsigned>{1u}, std::optional<unsigned>{2u},
+            std::optional<unsigned>{4u}}) {
+        EXPECT_EQ(digest(world.wild, pin.hour, workers), pin.digest)
+            << lines << " lines, hour " << pin.hour << ", workers "
+            << (workers ? std::to_string(*workers) : "default");
+      }
+    }
+  }
+}
+
+std::size_t process_threads() {
+  const std::filesystem::path tasks{"/proc/self/task"};
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it{tasks, ec}, end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ScaleWildGenerator, ThrowingSinkPropagatesAndStopsWorkers) {
+  const World world{270'000};
+  struct SinkFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  // A first thread makes sanitizer runtimes start their helper thread, so
+  // the baseline count below already includes it.
+  std::thread{[] {}}.join();
+  const std::size_t threads_before = process_threads();
+  std::uint64_t seen = 0;
+  EXPECT_THROW(world.wild.hour_observations(
+                   0,
+                   [&seen](const simnet::WildObs&) {
+                     if (++seen == 50'000) throw SinkFailure{"mid-hour"};
+                   },
+                   4),
+               SinkFailure);
+  EXPECT_EQ(seen, 50'000u);
+  // No worker outlives the call: the thread count is back where it was
+  // and no block gets built behind the caller's back.
+  EXPECT_EQ(process_threads(), threads_before);
+  const std::uint64_t builds = world.population.cache_stats().builds;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(world.population.cache_stats().builds, builds);
+  // The generator holds no state across calls: the next hour is intact.
+  EXPECT_EQ(digest(world.wild, 0, 4u), kPins[0].digest);
+}
+
+TEST_F(ScaleWildGenerator, ConcurrentCallersEachGetThePinnedSequence) {
+  const World world{270'000};
+  Digest a, b;
+  std::thread other{[&] { a = digest(world.wild, 0, 2u); }};
+  b = digest(world.wild, 0, 2u);
+  other.join();
+  EXPECT_EQ(a, kPins[0].digest);
+  EXPECT_EQ(b, kPins[0].digest);
+}
+
+TEST_F(ScaleWildGenerator, BlockCacheCountsRebuildsPerHourWalk) {
+  const auto walk = [](const World& world, unsigned workers) {
+    world.wild.hour_observations(0, [](const simnet::WildObs&) {}, workers);
+  };
+  // 300 k lines = 74 blocks against the 64-block LRU: a sequential walk
+  // evicts every block before it comes round again, so each hour walk
+  // rebuilds all 74, inline or parallel.
+  {
+    const World world{300'000};
+    ASSERT_EQ(world.population.block_count(), 74u);
+    walk(world, 0);
+    const auto first = world.population.cache_stats();
+    EXPECT_EQ(first.builds, 74u);
+    EXPECT_EQ(first.hits, 0u);
+    EXPECT_EQ(first.evictions, 74u - 64u);
+    walk(world, 2);
+    const auto second = world.population.cache_stats();
+    EXPECT_EQ(second.builds - first.builds, 74u);
+    EXPECT_EQ(second.hits, 0u);
+    EXPECT_EQ(second.evictions - first.evictions, 74u);
+  }
+  // 100 k lines = 25 blocks: fully resident after the first walk.
+  {
+    const World world{100'000};
+    walk(world, 2);
+    const auto first = world.population.cache_stats();
+    EXPECT_EQ(first.builds, 25u);
+    walk(world, 0);
+    const auto second = world.population.cache_stats();
+    EXPECT_EQ(second.builds, first.builds);
+    EXPECT_EQ(second.hits - first.hits, 25u);
+    EXPECT_EQ(second.evictions, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -39,15 +39,13 @@ struct Entry {
   Evidence evidence;
 };
 
-constexpr std::size_t kEntryBytesV1 = 8 + 2 + 8 + 8 + 2 + 8 + 4 + 4;
-constexpr std::size_t kEntryBytesV2 = 8 + 4 + 8 + 8 + 2 + 8 + 4 + 4;
-// v3 (compact): smallest possible row (handle, flags, mask0, u32 packets,
-// u16 first_seen) and group header (subscriber, row count) — used only to
+// Smallest possible row (handle, flags, mask0, u32 packets, u16
+// first_seen) and group header (subscriber, row count) — used only to
 // bound count fields before reserve().
-constexpr std::size_t kMinRowBytesV3 = 4 + 1 + 8 + 4 + 2;
-constexpr std::size_t kGroupHeaderBytesV3 = 8 + 4;
+constexpr std::size_t kMinRowBytes = 4 + 1 + 8 + 4 + 2;
+constexpr std::size_t kGroupHeaderBytes = 8 + 4;
 
-// v3 row flags.
+// Row flags.
 constexpr std::uint8_t kFlagMask1 = 0x01;      // mask word 1 present
 constexpr std::uint8_t kFlagWidePackets = 0x02;  // packets need u64
 constexpr std::uint8_t kFlagSatisfied = 0x04;  // satisfied_hour present
@@ -55,105 +53,54 @@ constexpr std::uint8_t kKnownFlags =
     kFlagMask1 | kFlagWidePackets | kFlagSatisfied;
 // Largest hour the packed Evidence stores exactly (u16, 0xffff = never).
 constexpr std::uint32_t kMaxStoredHour = 0xfffe;
+constexpr std::uint32_t kNoHandle = 0xffffffffU;
 
-template <typename DetectorT>
-std::vector<Entry> collect_entries(const DetectorT& detector) {
-  std::vector<Entry> entries;
-  detector.for_each_evidence(
-      [&entries](SubscriberKey sub, ServiceId svc, const Evidence& ev) {
-        entries.push_back({sub, svc, ev});
-      });
-  // Hash-map iteration order is not deterministic across runs; sorting
-  // makes identical state produce identical checkpoint bytes.
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::tie(a.subscriber, a.service) <
-                     std::tie(b.subscriber, b.service);
-            });
-  return entries;
+// Interns the labels rows are keyed by — rule names in rule order
+// (matching the live SignatureIndex handle layout), then "svc/<id>" for
+// services with evidence but no rule, in id order — and returns each
+// service id's handle.
+std::vector<std::uint32_t> build_handle_table(
+    const std::vector<Entry>& entries, const RuleSet& rules,
+    InternTable& table) {
+  std::vector<std::uint32_t> handle_of(std::size_t{1} << 16, kNoHandle);
+  for (const auto& r : rules.rules) {
+    const std::uint32_t handle = table.intern(r.name);
+    // First rule per service wins, as in RuleSet::rule_for.
+    if (handle_of[r.service] == kNoHandle) handle_of[r.service] = handle;
+  }
+  std::vector<bool> ruleless(handle_of.size(), false);
+  for (const auto& e : entries) {
+    if (handle_of[e.service] == kNoHandle) ruleless[e.service] = true;
+  }
+  for (std::size_t s = 0; s < ruleless.size(); ++s) {
+    if (ruleless[s]) handle_of[s] = table.intern("svc/" + std::to_string(s));
+  }
+  return handle_of;
 }
 
-void encode_header(flow::ByteWriter& w, std::uint32_t version,
-                   double threshold, const Detector::Stats& stats) {
+std::vector<std::uint8_t> encode(std::vector<Entry> entries,
+                                 const RuleSet& rules, double threshold,
+                                 const Detector::Stats& stats) {
+  // The blob is self-contained: restore resolves handles through the
+  // embedded table, never the live one.
+  InternTable table;
+  const auto handle_of = build_handle_table(entries, rules, table);
+  // Hash-map iteration order is not deterministic across runs; sorting
+  // makes identical state produce identical checkpoint bytes, and rows
+  // ascend by handle within a subscriber so restore can reject
+  // duplicated or reordered rows.
+  std::sort(entries.begin(), entries.end(),
+            [&handle_of](const Entry& a, const Entry& b) {
+              return std::tuple{a.subscriber, handle_of[a.service]} <
+                     std::tuple{b.subscriber, handle_of[b.service]};
+            });
+
+  flow::ByteWriter w;
   w.u32(kCheckpointMagic);
-  w.u32(version);
+  w.u32(kCheckpointVersion);
   w.u64(std::bit_cast<std::uint64_t>(threshold));
   w.u64(stats.flows);
   w.u64(stats.matched);
-}
-
-void encode_evidence(flow::ByteWriter& w, const Evidence& ev) {
-  w.u64(ev.mask(0));
-  w.u64(ev.mask(1));
-  w.u16(ev.distinct());
-  w.u64(ev.packets());
-  w.u32(ev.first_seen());
-  w.u32(ev.satisfied_hour());
-}
-
-// Builds the per-entry intern handles shared by the v2 and v3 layouts:
-// rule names first in rule order (matching the live SignatureIndex handle
-// layout), then "svc/<id>" labels for ruleless rows.
-void build_handle_table(const std::vector<Entry>& entries,
-                        const RuleSet& rules, InternTable& table,
-                        std::vector<std::uint32_t>& handles) {
-  for (const auto& r : rules.rules) table.intern(r.name);
-  handles.reserve(entries.size());
-  for (const auto& e : entries) {
-    const DetectionRule* rule = rules.rule_for(e.service);
-    handles.push_back(rule != nullptr
-                          ? table.intern(rule->name)
-                          : table.intern("svc/" +
-                                         std::to_string(e.service)));
-  }
-}
-
-std::vector<std::uint8_t> encode_v1(const std::vector<Entry>& entries,
-                                    double threshold,
-                                    const Detector::Stats& stats) {
-  flow::ByteWriter w;
-  encode_header(w, kCheckpointVersion, threshold, stats);
-  w.u64(entries.size());
-  for (const auto& e : entries) {
-    w.u64(e.subscriber);
-    w.u16(e.service);
-    encode_evidence(w, e.evidence);
-  }
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_v2(const std::vector<Entry>& entries,
-                                    const RuleSet& rules, double threshold,
-                                    const Detector::Stats& stats) {
-  // The blob is self-contained: restore resolves handles through the
-  // embedded table, never the live one.
-  std::vector<std::uint32_t> handles;
-  InternTable table;
-  build_handle_table(entries, rules, table, handles);
-
-  flow::ByteWriter w;
-  encode_header(w, kCheckpointVersionInterned, threshold, stats);
-  std::vector<std::uint8_t> table_bytes;
-  table.serialize(table_bytes);
-  w.bytes(table_bytes);
-  w.u64(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    w.u64(entries[i].subscriber);
-    w.u32(handles[i]);
-    encode_evidence(w, entries[i].evidence);
-  }
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_v3(const std::vector<Entry>& entries,
-                                    const RuleSet& rules, double threshold,
-                                    const Detector::Stats& stats) {
-  std::vector<std::uint32_t> handles;
-  InternTable table;
-  build_handle_table(entries, rules, table, handles);
-
-  flow::ByteWriter w;
-  encode_header(w, kCheckpointVersionCompact, threshold, stats);
   std::vector<std::uint8_t> table_bytes;
   table.serialize(table_bytes);
   w.bytes(table_bytes);
@@ -184,7 +131,7 @@ std::vector<std::uint8_t> encode_v3(const std::vector<Entry>& entries,
       if (ev.mask(1) != 0) flags |= kFlagMask1;
       if (ev.packets() > 0xffffffffULL) flags |= kFlagWidePackets;
       if (ev.satisfied()) flags |= kFlagSatisfied;
-      w.u32(handles[i]);
+      w.u32(handle_of[entries[i].service]);
       w.u8(flags);
       w.u64(ev.mask(0));
       if (flags & kFlagMask1) w.u64(ev.mask(1));
@@ -207,29 +154,6 @@ struct Parsed {
   std::vector<Entry> entries;
 };
 
-// Strict v1/v2 evidence decode. The packed Evidence stores hours as u16
-// and derives `distinct` from the mask, so the wire fields are validated
-// rather than silently narrowed: a blob whose distinct does not match the
-// mask popcount, or whose hours exceed what the study clock can produce,
-// never came from this system and is rejected like any other malformed
-// body (canonical re-encode stays byte-identical for everything accepted).
-bool parse_evidence(flow::ByteReader& r, Evidence& ev) {
-  ev.set_mask(0, r.u64());
-  ev.set_mask(1, r.u64());
-  const std::uint16_t distinct = r.u16();
-  ev.set_packets(r.u64());
-  const std::uint32_t first_seen = r.u32();
-  const std::uint32_t satisfied = r.u32();
-  if (distinct != ev.distinct()) return false;
-  if (first_seen > kMaxStoredHour) return false;
-  if (satisfied != Evidence::kNever && satisfied > kMaxStoredHour) {
-    return false;
-  }
-  ev.set_first_seen(first_seen);
-  ev.set_satisfied_hour(satisfied);
-  return true;
-}
-
 bool parse_impl(std::span<const std::uint8_t> blob, double threshold,
                 const RuleSet& rules, Parsed& out, std::string* error) {
   const auto fail = [error](const char* why) {
@@ -240,9 +164,7 @@ bool parse_impl(std::span<const std::uint8_t> blob, double threshold,
   if (r.u32() != kCheckpointMagic) return fail("bad checkpoint magic");
   const std::uint32_t version = r.u32();
   if (!r.ok()) return fail("truncated checkpoint header");
-  if (version != kCheckpointVersion &&
-      version != kCheckpointVersionInterned &&
-      version != kCheckpointVersionCompact) {
+  if (version != kCheckpointVersion) {
     return fail("unsupported checkpoint version");
   }
   const std::uint64_t threshold_bits = r.u64();
@@ -254,137 +176,109 @@ bool parse_impl(std::span<const std::uint8_t> blob, double threshold,
   if (!r.ok()) return fail("truncated checkpoint header");
 
   InternTable table;
-  if (version == kCheckpointVersionInterned ||
-      version == kCheckpointVersionCompact) {
-    std::size_t consumed = 0;
-    if (!table.restore(r.rest(), consumed)) {
-      return fail("malformed checkpoint intern table");
+  std::size_t consumed = 0;
+  if (!table.restore(r.rest(), consumed)) {
+    return fail("malformed checkpoint intern table");
+  }
+  r.skip(consumed);
+
+  // Resolve every label once. A label whose service an earlier label
+  // already names stays unresolved, so handles map to services one to one
+  // and ascending handles within a group mean no service repeats.
+  std::vector<std::int32_t> service_of(table.size(), -1);
+  std::vector<bool> claimed(std::size_t{1} << 16, false);
+  for (std::uint32_t handle = 0; handle < table.size(); ++handle) {
+    ServiceId svc = 0;
+    if (resolve_service_label(table.name(handle), rules, svc) &&
+        !claimed[svc]) {
+      claimed[svc] = true;
+      service_of[handle] = svc;
     }
-    r.skip(consumed);
   }
 
-  const auto resolve = [&](std::uint32_t handle, ServiceId& svc,
-                           const char*& why) {
-    if (handle >= table.size()) {
-      why = "checkpoint references an unknown intern handle";
-      return false;
-    }
-    if (!resolve_service_label(table.name(handle), rules, svc)) {
-      why = "checkpoint references an unknown rule name";
-      return false;
-    }
-    return true;
-  };
-
-  if (version == kCheckpointVersionCompact) {
-    const std::uint64_t groups = r.u64();
-    if (!r.ok()) return fail("truncated checkpoint header");
-    if (groups > r.remaining() / kGroupHeaderBytesV3) {
-      return fail("truncated checkpoint body");
-    }
-    for (std::uint64_t g = 0; g < groups; ++g) {
-      const SubscriberKey subscriber = r.u64();
-      const std::uint32_t rows = r.u32();
-      if (!r.ok()) return fail("truncated checkpoint body");
-      if (rows == 0) return fail("empty checkpoint subscriber group");
-      if (g > 0 && subscriber <= out.entries.back().subscriber) {
-        return fail("checkpoint groups out of order");
-      }
-      if (rows > r.remaining() / kMinRowBytesV3) {
-        return fail("truncated checkpoint body");
-      }
-      for (std::uint32_t i = 0; i < rows; ++i) {
-        Entry e{};
-        e.subscriber = subscriber;
-        const std::uint32_t handle = r.u32();
-        const std::uint8_t flags = r.u8();
-        if (!r.ok()) return fail("truncated checkpoint body");
-        if ((flags & ~kKnownFlags) != 0) {
-          return fail("unknown checkpoint row flags");
-        }
-        const char* why = nullptr;
-        if (!resolve(handle, e.service, why)) return fail(why);
-        e.evidence.set_mask(0, r.u64());
-        if (flags & kFlagMask1) e.evidence.set_mask(1, r.u64());
-        const std::uint64_t packets =
-            (flags & kFlagWidePackets) ? r.u64() : r.u32();
-        // Canonical width: small counters must use the narrow encoding.
-        if ((flags & kFlagWidePackets) && packets <= 0xffffffffULL) {
-          return fail("non-canonical checkpoint packet width");
-        }
-        if ((flags & kFlagMask1) && e.evidence.mask(1) == 0) {
-          return fail("non-canonical checkpoint mask width");
-        }
-        e.evidence.set_packets(packets);
-        const std::uint16_t first_seen = r.u16();
-        if (first_seen > kMaxStoredHour) {
-          return fail("checkpoint hour out of range");
-        }
-        e.evidence.set_first_seen(first_seen);
-        if (flags & kFlagSatisfied) {
-          const std::uint16_t satisfied = r.u16();
-          if (satisfied > kMaxStoredHour) {
-            return fail("checkpoint hour out of range");
-          }
-          e.evidence.set_satisfied_hour(satisfied);
-        }
-        out.entries.push_back(e);
-      }
-    }
-    if (!r.ok() || r.remaining() != 0) {
-      return fail("malformed checkpoint body");
-    }
-    return true;
-  }
-
-  const std::uint64_t count = r.u64();
+  const std::uint64_t groups = r.u64();
   if (!r.ok()) return fail("truncated checkpoint header");
-  const std::size_t entry_bytes =
-      version == kCheckpointVersion ? kEntryBytesV1 : kEntryBytesV2;
-  // Reject counts the blob cannot hold before reserve() turns them into
-  // an allocation.
-  if (count > r.remaining() / entry_bytes) {
+  if (groups > r.remaining() / kGroupHeaderBytes) {
     return fail("truncated checkpoint body");
   }
-  if (count * entry_bytes != r.remaining()) {
-    return fail("trailing bytes after checkpoint body");
-  }
-  out.entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Entry e{};
-    e.subscriber = r.u64();
-    if (version == kCheckpointVersion) {
-      e.service = r.u16();
-    } else {
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    const SubscriberKey subscriber = r.u64();
+    const std::uint32_t rows = r.u32();
+    if (!r.ok()) return fail("truncated checkpoint body");
+    if (rows == 0) return fail("empty checkpoint subscriber group");
+    if (g > 0 && subscriber <= out.entries.back().subscriber) {
+      return fail("checkpoint groups out of order");
+    }
+    if (rows > r.remaining() / kMinRowBytes) {
+      return fail("truncated checkpoint body");
+    }
+    std::uint32_t previous = 0;
+    for (std::uint32_t i = 0; i < rows; ++i) {
+      Entry e{};
+      e.subscriber = subscriber;
       const std::uint32_t handle = r.u32();
-      const char* why = nullptr;
-      if (!resolve(handle, e.service, why)) return fail(why);
+      const std::uint8_t flags = r.u8();
+      if (!r.ok()) return fail("truncated checkpoint body");
+      if ((flags & ~kKnownFlags) != 0) {
+        return fail("unknown checkpoint row flags");
+      }
+      if (handle >= table.size()) {
+        return fail("checkpoint references an unknown intern handle");
+      }
+      if (service_of[handle] < 0) {
+        return fail("checkpoint references an unknown or ambiguous label");
+      }
+      if (i > 0 && handle <= previous) {
+        return fail("checkpoint rows out of order");
+      }
+      previous = handle;
+      e.service = static_cast<ServiceId>(service_of[handle]);
+      e.evidence.set_mask(0, r.u64());
+      if (flags & kFlagMask1) e.evidence.set_mask(1, r.u64());
+      const std::uint64_t packets =
+          (flags & kFlagWidePackets) ? r.u64() : r.u32();
+      // Canonical width: small counters must use the narrow encoding.
+      if ((flags & kFlagWidePackets) && packets <= 0xffffffffULL) {
+        return fail("non-canonical checkpoint packet width");
+      }
+      if ((flags & kFlagMask1) && e.evidence.mask(1) == 0) {
+        return fail("non-canonical checkpoint mask width");
+      }
+      e.evidence.set_packets(packets);
+      const std::uint16_t first_seen = r.u16();
+      if (first_seen > kMaxStoredHour) {
+        return fail("checkpoint hour out of range");
+      }
+      e.evidence.set_first_seen(first_seen);
+      if (flags & kFlagSatisfied) {
+        const std::uint16_t satisfied = r.u16();
+        if (satisfied > kMaxStoredHour) {
+          return fail("checkpoint hour out of range");
+        }
+        e.evidence.set_satisfied_hour(satisfied);
+      }
+      out.entries.push_back(e);
     }
-    if (!parse_evidence(r, e.evidence)) {
-      return fail("inconsistent checkpoint evidence row");
-    }
-    out.entries.push_back(e);
   }
-  if (!r.ok() || r.remaining() != 0) return fail("malformed checkpoint body");
+  if (!r.ok() || r.remaining() != 0) {
+    return fail("malformed checkpoint body");
+  }
   return true;
 }
 
 template <typename DetectorT>
 std::vector<std::uint8_t> save_with_event(const DetectorT& detector,
-                                          obs::FlightRecorder* recorder,
-                                          std::uint32_t version) {
-  const auto entries = collect_entries(detector);
-  auto blob =
-      version == kCheckpointVersion
-          ? encode_v1(entries, detector.config().threshold, detector.stats())
-      : version == kCheckpointVersionInterned
-          ? encode_v2(entries, detector.rules(),
-                      detector.config().threshold, detector.stats())
-          : encode_v3(entries, detector.rules(),
-                      detector.config().threshold, detector.stats());
+                                          obs::FlightRecorder* recorder) {
+  std::vector<Entry> entries;
+  detector.for_each_evidence(
+      [&entries](SubscriberKey sub, ServiceId svc, const Evidence& ev) {
+        entries.push_back({sub, svc, ev});
+      });
+  const std::size_t count = entries.size();
+  auto blob = encode(std::move(entries), detector.rules(),
+                     detector.config().threshold, detector.stats());
   if (recorder != nullptr) {
-    recorder->record(obs::EventKind::kCheckpointSave, 0, entries.size(),
-                     blob.size());
+    recorder->record(obs::EventKind::kCheckpointSave, 0, count, blob.size());
   }
   return blob;
 }
@@ -415,34 +309,14 @@ bool restore_with_event(std::span<const std::uint8_t> blob,
 
 }  // namespace
 
-std::vector<std::uint8_t> save_checkpoint(const Detector& detector,
-                                          obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersion);
-}
-
-std::vector<std::uint8_t> save_checkpoint(const ShardedDetector& detector,
-                                          obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersion);
-}
-
-std::vector<std::uint8_t> save_checkpoint_interned(
-    const Detector& detector, obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersionInterned);
-}
-
-std::vector<std::uint8_t> save_checkpoint_interned(
-    const ShardedDetector& detector, obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersionInterned);
-}
-
 std::vector<std::uint8_t> save_checkpoint_compact(
     const Detector& detector, obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersionCompact);
+  return save_with_event(detector, recorder);
 }
 
 std::vector<std::uint8_t> save_checkpoint_compact(
     const ShardedDetector& detector, obs::FlightRecorder* recorder) {
-  return save_with_event(detector, recorder, kCheckpointVersionCompact);
+  return save_with_event(detector, recorder);
 }
 
 bool restore_checkpoint(std::span<const std::uint8_t> blob,

@@ -6,16 +6,14 @@ namespace haystack::core {
 
 Detector::Detector(const Hitlist& hitlist, const RuleSet& rules,
                    const DetectorConfig& config)
-    : hitlist_{&hitlist},
-      compiled_{compile_rules(hitlist, rules, config, /*id=*/1, nullptr,
-                              /*build_index=*/false, nullptr)} {}
+    : compiled_{compile_rules(hitlist, rules, config, /*id=*/1, nullptr,
+                              nullptr)} {}
 
 Detector::Detector(std::shared_ptr<const CompiledRuleVersion> version)
-    : hitlist_{version->hitlist}, compiled_{std::move(version)} {}
+    : compiled_{std::move(version)} {}
 
 void Detector::adopt_version(
     std::shared_ptr<const CompiledRuleVersion> version) {
-  hitlist_ = version->hitlist;
   compiled_ = std::move(version);
 }
 
@@ -61,19 +59,11 @@ std::optional<Hit> Detector::observe(SubscriberKey subscriber,
                                      std::uint16_t port,
                                      std::uint64_t packets,
                                      util::HourBin hour) {
-  ++stats_.flows;
-  if (instruments_.flows) instruments_.flows->add(1);
-  const auto hit = hitlist_->lookup(server, port, util::day_of(hour));
-  if (!hit) return std::nullopt;
-  ++stats_.matched;
-  if (instruments_.matched) instruments_.matched->add(1);
-
-  const DetectionRule* rule = compiled_->rule_for(hit->service);
-  if (rule == nullptr) return hit;
-
-  apply_match(subscriber, hit->service, hit->domain_index,
-              compiled_->fast_rules[hit->service], packets, hour);
-  return hit;
+  const Signature sig =
+      compiled_->index->sig_of(server, port, util::day_of(hour));
+  observe_interned(subscriber, sig, packets, hour);
+  if (sig == kNoSig) return std::nullopt;
+  return Hit{sig_service(sig), sig_domain_index(sig)};
 }
 
 void Detector::observe_interned(SubscriberKey subscriber, Signature sig,

@@ -1,7 +1,8 @@
 // Streaming IoT-device detector (paper Secs. 5/6).
 //
 // Consumes sampled flow observations one at a time: each flow's server-side
-// (IP, port) is looked up in the daily hitlist; a match contributes one
+// (IP, port) is looked up in the daily hitlist (through the version's
+// SignatureIndex, core/signature_index.hpp); a match contributes one
 // piece of evidence — "subscriber S contacted monitored domain m of service
 // X". A service counts as detected for a subscriber once evidence covers
 // max(1, floor(D*N)) of its N monitored domains (or its critical domain,
@@ -62,8 +63,9 @@ struct DetectorInstruments {
 /// The streaming detector.
 class Detector {
  public:
-  /// Compiles `rules` + `config` into version 1. `hitlist`/`rules` must
-  /// outlive the detector (or its next adopt_version, whichever first).
+  /// Compiles `rules` + `config` into version 1, with the signature
+  /// index built from `hitlist`. `rules` must outlive the detector (or its
+  /// next adopt_version, whichever first).
   Detector(const Hitlist& hitlist, const RuleSet& rules,
            const DetectorConfig& config);
 
@@ -74,15 +76,13 @@ class Detector {
   /// other write, moving is not safe while another thread observes.
   /// Spelled out because the atomic loss estimate is not itself movable.
   Detector(Detector&& other) noexcept
-      : hitlist_{other.hitlist_},
-        compiled_{std::move(other.compiled_)},
+      : compiled_{std::move(other.compiled_)},
         evidence_{std::move(other.evidence_)},
         stats_{other.stats_},
         satisfied_total_{other.satisfied_total_},
         observed_loss_{other.observed_loss()},
         instruments_{std::move(other.instruments_)} {}
   Detector& operator=(Detector&& other) noexcept {
-    hitlist_ = other.hitlist_;
     compiled_ = std::move(other.compiled_);
     evidence_ = std::move(other.evidence_);
     stats_ = other.stats_;
@@ -93,7 +93,7 @@ class Detector {
   }
 
   /// Hot-reload cutover (ISSUE 8): swaps the compiled rule tables,
-  /// threshold, and hitlist to `version`, keeping all accumulated
+  /// threshold, and signature index to `version`, keeping all accumulated
   /// evidence. Must be called from the thread that owns this detector's
   /// writes (the shard worker, between waves) — it is NOT safe
   /// concurrently with observe paths from other threads.
@@ -106,8 +106,9 @@ class Detector {
   }
 
   /// Feeds one sampled flow observation (already direction-normalized:
-  /// `server`/`port` are the service side). Returns the hitlist match, if
-  /// any — callers use this to avoid a second lookup.
+  /// `server`/`port` are the service side): `SignatureIndex::sig_of`, then
+  /// observe_interned(). Returns the hitlist match, if any — callers use
+  /// this to avoid a second lookup.
   std::optional<Hit> observe(SubscriberKey subscriber,
                              const net::IpAddress& server, std::uint16_t port,
                              std::uint64_t packets, util::HourBin hour);
@@ -115,9 +116,7 @@ class Detector {
   /// Interned fast path (ISSUE 6): feeds one observation whose hitlist
   /// lookup was already resolved to a packed signature at the enqueue
   /// boundary (`SignatureIndex::sig_of`). `sig == kNoSig` counts the
-  /// flow and returns, exactly like a hitlist miss in observe(). For any
-  /// observation stream, produces bit-identical evidence, stats, and
-  /// instrument bumps to observe() — the differential tier pins this.
+  /// flow and returns (a hitlist miss).
   void observe_interned(SubscriberKey subscriber, Signature sig,
                         std::uint64_t packets, util::HourBin hour);
 
@@ -230,15 +229,12 @@ class Detector {
   }
 
  private:
-  /// Evidence update shared by observe() and observe_interned(); both
-  /// paths must stay bit-identical (differential tier).
+  /// Evidence update shared by observe_interned() and its wave-batched
+  /// uncounted variant.
   void apply_match(SubscriberKey subscriber, ServiceId service,
                    std::uint16_t pos, const RuleFast& fast,
                    std::uint64_t packets, util::HourBin hour);
 
-  /// Raw-IP lookup path hitlist; adopt_version retargets it to the new
-  /// version's hitlist (RuleSet owns its hitlist by value).
-  const Hitlist* hitlist_;
   std::shared_ptr<const CompiledRuleVersion> compiled_;
   /// Flat open-addressing table: one cache line per probe on the hot
   /// path (see core/evidence_map.hpp).

@@ -185,18 +185,14 @@ struct CompiledRuleVersion {
   /// pre-reload lifetime contract); for reloaded versions `owned` keeps
   /// it alive.
   const RuleSet* rules = nullptr;
-  /// The daily hitlist raw-IP lookups resolve against — usually
-  /// &rules->hitlist, but the construction-time version honors a
-  /// separately supplied hitlist (the pre-ISSUE-8 constructor contract).
-  const Hitlist* hitlist = nullptr;
   std::shared_ptr<const RuleSet> owned;
   DetectorConfig config{};
   /// Rule pointer per service id for O(1) dispatch (into *rules).
   std::vector<const DetectionRule*> rule_of;
   std::vector<RuleFast> fast_rules;  ///< parallel to rule_of
   /// Boundary (IP, port, day) -> Signature index compiled from this
-  /// version's hitlist. Null when the version was compiled without one
-  /// (a plain single-shard Detector never consults it).
+  /// version's hitlist — the one hitlist lookup every detect path uses.
+  /// Never null.
   std::shared_ptr<const SignatureIndex> index;
 
   [[nodiscard]] const DetectionRule* rule_for(ServiceId service) const {
@@ -204,16 +200,15 @@ struct CompiledRuleVersion {
   }
 };
 
-/// Compiles `rules` + `config` into an immutable version. When
-/// `build_index` is set, also compiles the SignatureIndex from `hitlist`
-/// and interns rule/domain labels into `intern` (which may be null).
-/// `owned` carries ownership for reloaded sets and may be null for the
-/// construction-time version (caller guarantees lifetime).
+/// Compiles `rules` + `config` into an immutable version, including the
+/// SignatureIndex built from `hitlist`, and interns rule/domain labels
+/// into `intern` (which may be null). `owned` carries ownership for
+/// reloaded sets and may be null for the construction-time version
+/// (caller guarantees lifetime).
 [[nodiscard]] std::shared_ptr<const CompiledRuleVersion> compile_rules(
     const Hitlist& hitlist, const RuleSet& rules,
     const DetectorConfig& config, std::uint64_t id,
-    std::shared_ptr<const RuleSet> owned, bool build_index,
-    InternTable* intern);
+    std::shared_ptr<const RuleSet> owned, InternTable* intern);
 
 /// Hierarchy-aware detection over any evidence map: the hour at which the
 /// service and all of its ancestors were satisfied for this subscriber,

@@ -276,7 +276,7 @@ class ShardedDetector {
   }
 
   /// Rule-name / monitored-domain-label intern table populated by the
-  /// signature-index builds (HSCK v2 keys evidence rows through it).
+  /// signature-index builds.
   /// Append-only across reloads: handles stay stable, deltas are
   /// interned without stalling producers (the table is thread-safe).
   [[nodiscard]] const InternTable& intern_table() const noexcept {

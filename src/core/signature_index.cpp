@@ -12,8 +12,9 @@ namespace haystack::core {
 void SignatureIndex::build(const Hitlist& hitlist, const RuleSet& rules,
                            InternTable* domains) {
   // Rule names first, in rule order, so interned rule handles are dense
-  // and reproducible (HSCK v2 relies on this ordering contract only
-  // through the serialized table itself, but density keeps it compact).
+  // and reproducible (HSCK checkpoints rely on this ordering contract
+  // only through the serialized table itself, but density keeps it
+  // compact).
   if (domains != nullptr) {
     for (const auto& rule : rules.rules) {
       domains->intern(rule.name);

@@ -17,12 +17,15 @@
 //     out-of-range days.
 //
 // The index is immutable after build(); sig_of() is const and safe to
-// call concurrently from any number of producer threads.
+// call concurrently from any number of producer threads. It is the only
+// hitlist lookup on any detect path: Detector::observe() calls sig_of()
+// too. The Hitlist itself is only the build input, and Hitlist::lookup()
+// runs only inside the ReferenceDetector oracle.
 //
 // build() also interns each rule's name and monitored-domain labels into
 // an InternTable (when provided): rule names in rule order, so the
-// handle space is dense and HSCK v2 checkpoints can key evidence rows by
-// interned rule id instead of raw catalog position.
+// handle space is dense and its rule-name prefix matches the label table
+// HSCK checkpoints embed (core/checkpoint.hpp).
 #pragma once
 
 #include <cstdint>

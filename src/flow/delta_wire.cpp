@@ -13,14 +13,11 @@ bool fail(std::string* error, const char* reason) {
   return false;
 }
 
-// Fixed-size portion of one serialized v1 row: u64 subscriber + u32 label
-// + 2×u64 mask + u64 packets + u32 first_seen.
-constexpr std::size_t kRowBytes = 8 + 4 + 8 + 8 + 8 + 4;
-// Smallest possible v2 row: subscriber + label + flags + mask0 + u32
-// packets + first_seen (only used to bound the row count pre-reserve).
-constexpr std::size_t kMinRowBytesV2 = 8 + 4 + 1 + 8 + 4 + 4;
+// Smallest possible row: subscriber + label + flags + mask0 + u32 packets
+// + first_seen (only used to bound the row count pre-reserve).
+constexpr std::size_t kMinRowBytes = 8 + 4 + 1 + 8 + 4 + 4;
 
-// v2 row flags.
+// Row flags.
 constexpr std::uint8_t kFlagMask1 = 0x01;
 constexpr std::uint8_t kFlagWidePackets = 0x02;
 constexpr std::uint8_t kKnownFlags = kFlagMask1 | kFlagWidePackets;
@@ -30,7 +27,7 @@ constexpr std::uint8_t kKnownFlags = kFlagMask1 | kFlagWidePackets;
 std::vector<std::uint8_t> encode_delta(const EvidenceDelta& delta) {
   ByteWriter w;
   w.u32(kDeltaMagic);
-  w.u32(delta.version);
+  w.u32(kDeltaVersion);
   w.u32(delta.collector);
   w.u32(delta.seq);
   w.u32(delta.epoch);
@@ -48,13 +45,6 @@ std::vector<std::uint8_t> encode_delta(const EvidenceDelta& delta) {
   for (const DeltaRow& row : delta.rows) {
     w.u64(row.subscriber);
     w.u32(row.label);
-    if (delta.version == kDeltaVersion) {
-      w.u64(row.mask0);
-      w.u64(row.mask1);
-      w.u64(row.packets);
-      w.u32(row.first_seen);
-      continue;
-    }
     std::uint8_t flags = 0;
     if (row.mask1 != 0) flags |= kFlagMask1;
     if (row.packets > 0xffffffffULL) flags |= kFlagWidePackets;
@@ -75,11 +65,7 @@ bool decode_delta(std::span<const std::uint8_t> datagram, EvidenceDelta& out,
                   std::string* error) {
   ByteReader r{datagram};
   if (r.u32() != kDeltaMagic) return fail(error, "bad magic");
-  const std::uint32_t version = r.u32();
-  if (version != kDeltaVersion && version != kDeltaVersionCompact) {
-    return fail(error, "unsupported version");
-  }
-  out.version = version;
+  if (r.u32() != kDeltaVersion) return fail(error, "unsupported version");
   out.collector = r.u32();
   out.seq = r.u32();
   out.epoch = r.u32();
@@ -116,15 +102,10 @@ bool decode_delta(std::span<const std::uint8_t> datagram, EvidenceDelta& out,
   if (!r.ok()) return fail(error, "truncated row count");
   // Strict: a delta is a single datagram, so the row section must consume
   // exactly the remaining bytes — this rejects both truncation (including
-  // ImpairedLink tail-cuts) and trailing garbage. The division guards keep
-  // the products from wrapping on an adversarial count. v2 rows are
-  // variable-length, so the exact-fit check happens after the walk.
-  if (version == kDeltaVersion) {
-    if (row_count > r.remaining() / kRowBytes ||
-        row_count * kRowBytes != r.remaining()) {
-      return fail(error, "row section size mismatch");
-    }
-  } else if (row_count > r.remaining() / kMinRowBytesV2) {
+  // ImpairedLink tail-cuts) and trailing garbage. Rows are variable-length,
+  // so the exact-fit check happens after the walk; the division guard
+  // rejects counts the buffer cannot hold before reserve().
+  if (row_count > r.remaining() / kMinRowBytes) {
     return fail(error, "row section size mismatch");
   }
   out.rows.clear();
@@ -133,29 +114,22 @@ bool decode_delta(std::span<const std::uint8_t> datagram, EvidenceDelta& out,
     DeltaRow row;
     row.subscriber = r.u64();
     row.label = r.u32();
-    if (version == kDeltaVersion) {
-      row.mask0 = r.u64();
-      row.mask1 = r.u64();
-      row.packets = r.u64();
-      row.first_seen = r.u32();
-    } else {
-      const std::uint8_t flags = r.u8();
-      if (!r.ok()) return fail(error, "truncated rows");
-      if ((flags & ~kKnownFlags) != 0) {
-        return fail(error, "unknown row flags");
-      }
-      row.mask0 = r.u64();
-      row.mask1 = (flags & kFlagMask1) ? r.u64() : 0;
-      row.packets = (flags & kFlagWidePackets) ? r.u64() : r.u32();
-      row.first_seen = r.u32();
-      // Canonical widths keep decode→encode byte-identical: a narrow value
-      // in a wide field (or a present-but-zero mask word) is rejected.
-      if ((flags & kFlagMask1) && row.mask1 == 0) {
-        return fail(error, "non-canonical mask width");
-      }
-      if ((flags & kFlagWidePackets) && row.packets <= 0xffffffffULL) {
-        return fail(error, "non-canonical packet width");
-      }
+    const std::uint8_t flags = r.u8();
+    if (!r.ok()) return fail(error, "truncated rows");
+    if ((flags & ~kKnownFlags) != 0) {
+      return fail(error, "unknown row flags");
+    }
+    row.mask0 = r.u64();
+    row.mask1 = (flags & kFlagMask1) ? r.u64() : 0;
+    row.packets = (flags & kFlagWidePackets) ? r.u64() : r.u32();
+    row.first_seen = r.u32();
+    // Canonical widths keep decode→encode byte-identical: a narrow value
+    // in a wide field (or a present-but-zero mask word) is rejected.
+    if ((flags & kFlagMask1) && row.mask1 == 0) {
+      return fail(error, "non-canonical mask width");
+    }
+    if ((flags & kFlagWidePackets) && row.packets <= 0xffffffffULL) {
+      return fail(error, "non-canonical packet width");
     }
     if (row.label >= label_count) return fail(error, "label index out of range");
     out.rows.push_back(row);

@@ -2,10 +2,9 @@
 // (ISSUE 7): the datagrams a vantage collector ships to the aggregator.
 //
 // The format is a sibling of the HSCK checkpoint (core/checkpoint): the
-// same big-endian ByteWriter primitives, the same label-table idea as the
-// v2 "interned" checkpoint — but where a checkpoint is a full, private
-// snapshot, a delta is a *per-epoch diff of cumulative state*, built to
-// survive an unreliable channel:
+// same big-endian ByteWriter primitives, the same label-table idea — but
+// where a checkpoint is a full, private snapshot, a delta is a *per-epoch
+// diff of cumulative state*, built to survive an unreliable channel:
 //
 //   - Rows carry the emitting collector's CUMULATIVE evidence for each
 //     (subscriber, label) it touched during the epoch — cumulative mask,
@@ -47,15 +46,6 @@
 //   u64  row count
 //   rows, sorted by (subscriber, service) at the emitter so identical
 //   state produces identical bytes:
-//     u64 subscriber, u32 label index,
-//     u64 mask[0], u64 mask[1], u64 packets, u32 first_seen
-//
-// Version 2 (ISSUE 9, "compact" rows) keeps the entire header and label
-// table and changes only the row encoding: each row spends a flag byte to
-// drop the second mask word (rarely nonzero — the catalog maximum is 34
-// monitored domains) and to narrow the cumulative packet counter:
-//
-//   rows (v2), same sort order:
 //     u64 subscriber, u32 label index
 //     u8  flags: bit0 = mask[1] present, bit1 = packets written as u64
 //         (canonical: u64 only when the value exceeds 0xffffffff)
@@ -63,13 +53,15 @@
 //     u32 or u64 packets
 //     u32 first_seen
 //
+// The flag byte drops the second mask word (rarely nonzero — the catalog
+// maximum is 34 monitored domains) and narrows the cumulative packet
+// counter.
+//
 // decode_delta() is strict: wrong magic/version/kind, label indices out
 // of range, counts the buffer cannot hold, truncation, trailing bytes, or
-// (v2) non-canonical field widths all reject the datagram (the
-// structure-aware fuzzer in tests/fuzz/fuzz_vantage_delta.cpp hammers
-// exactly these guards), and a successful decode re-encodes to
-// byte-identical input — the decoded `version` field keeps v1 datagrams
-// re-encoding as v1.
+// non-canonical field widths all reject the datagram (the structure-aware
+// fuzzer in tests/fuzz/fuzz_vantage_delta.cpp hammers exactly these
+// guards), and a successful decode re-encodes to byte-identical input.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +72,7 @@
 namespace haystack::flow {
 
 inline constexpr std::uint32_t kDeltaMagic = 0x48535644U;  // "HSVD"
-inline constexpr std::uint32_t kDeltaVersion = 1;
-inline constexpr std::uint32_t kDeltaVersionCompact = 2;
+inline constexpr std::uint32_t kDeltaVersion = 2;
 
 enum class DeltaKind : std::uint8_t {
   kDelta = 0,     ///< evidence touched during one epoch (cumulative rows)
@@ -101,10 +92,6 @@ struct DeltaRow {
 
 /// A decoded delta (or snapshot) message.
 struct EvidenceDelta {
-  /// Wire version this message encodes to (and, after decode_delta, the
-  /// version it arrived as — re-encoding a decoded message reproduces the
-  /// original bytes). New emitters default to the compact v2 rows.
-  std::uint32_t version = kDeltaVersionCompact;
   std::uint32_t collector = 0;
   std::uint32_t seq = 0;
   std::uint32_t epoch = 0;

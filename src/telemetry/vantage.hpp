@@ -1,9 +1,8 @@
 // Vantage-point pipelines (paper Figs. 3/4).
 //
 // A vantage point turns ground-truth flows into what its collector actually
-// records:
+// records (the instrumented home line sees the flows themselves, unsampled):
 //
-//   * HomeVantage — the instrumented subscriber line: full, unsampled view.
 //   * IspVantage — border-router NetFlow: 1-in-N packet sampling (binomial
 //     thinning per flow), then optionally a *real* NetFlow v9
 //     encode-transmit-decode round trip, so the wire codec sits on the
@@ -11,7 +10,7 @@
 //   * IxpVantage — IPFIX at an order-of-magnitude lower sampling, plus the
 //     established-TCP guard the paper applies against spoofing.
 //
-// All three preserve the simulation's ground-truth labels alongside each
+// Both preserve the simulation's ground-truth labels alongside each
 // surviving flow so that evaluation code can compute visibility without
 // re-identification.
 #pragma once
@@ -27,16 +26,6 @@
 #include "util/rng.hpp"
 
 namespace haystack::telemetry {
-
-/// The unsampled home vantage: identity, provided for pipeline symmetry.
-class HomeVantage {
- public:
-  /// Returns the flows unchanged.
-  [[nodiscard]] static std::vector<simnet::LabeledFlow> observe(
-      std::vector<simnet::LabeledFlow> flows) {
-    return flows;
-  }
-};
 
 /// ISP border NetFlow vantage.
 class IspVantage {

@@ -29,7 +29,7 @@
 //     folded, never merely staged: staged deltas die with an aggregator
 //     crash, and because they were never acked the collectors still hold
 //     and retransmit them. save()/restore() ("HSAG") persist the global
-//     map (as an embedded interned HSCK checkpoint) plus every
+//     map (as an embedded HSCK checkpoint) plus every
 //     collector's merged cumulative state; staged epochs and sequence
 //     trackers are deliberately NOT saved. Restore failure clears ALL
 //     aggregator state — global and per-collector — mirroring the
@@ -157,7 +157,7 @@ class Aggregator {
   [[nodiscard]] std::vector<std::uint8_t> snapshot_for(std::uint32_t id) const;
 
   /// Serializes the full aggregator state ("HSAG": global detector as an
-  /// embedded interned HSCK checkpoint + per-collector merged state).
+  /// embedded HSCK checkpoint + per-collector merged state).
   [[nodiscard]] std::vector<std::uint8_t> save() const;
 
   /// Restores a save() blob. Returns false on ANY malformed input — and

@@ -3,9 +3,10 @@
 // Corpus: real encode_delta output — empty heartbeat deltas, multi-row
 // deltas with shared labels, and a snapshot-kind delta. Structure-aware
 // mutations target the HSVD framing: the kind byte, the label count and
-// label length prefixes, per-row label indices, the 64-bit row count
-// (including the overflow-crafted values that make count*40 wrap), and
-// truncation/extension around the strict row-section boundary.
+// label length prefixes, the first row's label index, the 64-bit row
+// count (including values around 2^64 / the minimum row size, where a
+// count * size product would wrap), and truncation/extension around the
+// strict row-section boundary.
 //
 // Properties checked per input:
 //   - decode_delta() returns (no crash, no OOB — sanitizers enforce);
@@ -27,10 +28,8 @@ namespace {
 using haystack::fuzz::Bytes;
 using namespace haystack::flow;
 
-EvidenceDelta sample_delta(std::uint32_t rows, DeltaKind kind,
-                           std::uint32_t version = kDeltaVersionCompact) {
+EvidenceDelta sample_delta(std::uint32_t rows, DeltaKind kind) {
   EvidenceDelta delta;
-  delta.version = version;
   delta.collector = 3;
   delta.seq = 17;
   delta.epoch = 41;
@@ -45,7 +44,7 @@ EvidenceDelta sample_delta(std::uint32_t rows, DeltaKind kind,
     row.label = i % static_cast<std::uint32_t>(delta.labels.size());
     row.mask0 = (1ULL << (i % 64)) | 1U;
     row.mask1 = i % 5 == 0 ? (1ULL << 63) : 0;
-    row.packets = 10 + i;
+    row.packets = i % 3 == 0 ? 0x1'0000'0000ULL + i : 10 + i;
     row.first_seen = i % 48;
     delta.rows.push_back(row);
   }
@@ -54,18 +53,10 @@ EvidenceDelta sample_delta(std::uint32_t rows, DeltaKind kind,
 
 std::vector<Bytes> build_corpus() {
   std::vector<Bytes> corpus;
-  // Both wire versions: compact v2 (the default emitters now produce) and
-  // legacy v1 (old collectors; the decoder keeps accepting it).
-  for (const std::uint32_t version : {kDeltaVersionCompact, kDeltaVersion}) {
-    corpus.push_back(
-        encode_delta(sample_delta(0, DeltaKind::kDelta, version)));
-    corpus.push_back(
-        encode_delta(sample_delta(5, DeltaKind::kDelta, version)));
-    corpus.push_back(
-        encode_delta(sample_delta(64, DeltaKind::kDelta, version)));
-    corpus.push_back(
-        encode_delta(sample_delta(9, DeltaKind::kSnapshot, version)));
-  }
+  corpus.push_back(encode_delta(sample_delta(0, DeltaKind::kDelta)));
+  corpus.push_back(encode_delta(sample_delta(5, DeltaKind::kDelta)));
+  corpus.push_back(encode_delta(sample_delta(64, DeltaKind::kDelta)));
+  corpus.push_back(encode_delta(sample_delta(9, DeltaKind::kSnapshot)));
   EvidenceDelta empty;
   corpus.push_back(encode_delta(empty));
   return corpus;
@@ -73,8 +64,22 @@ std::vector<Bytes> build_corpus() {
 
 // HSVD offsets: magic u32 @0, version u32 @4, collector u32 @8, seq u32
 // @12, epoch u32 @16, kind u8 @20, threshold u64 @21, flows u64 @29,
-// matched u64 @37, label count u32 @45, then labels, then row count u64,
-// then 40-byte rows.
+// matched u64 @37, label count u32 @45, then labels (u16 length + bytes),
+// then row count u64, then rows (u64 subscriber, u32 label index, ...).
+
+// Offset of the u64 row count, found by walking the label table; 0 when
+// the table runs past the end of `data`.
+std::size_t row_count_at(const Bytes& data) {
+  std::uint32_t labels = 0;
+  for (unsigned i = 0; i < 4; ++i) labels = (labels << 8) | data[45 + i];
+  std::size_t pos = 49;
+  for (std::uint32_t i = 0; i < labels; ++i) {
+    if (pos + 2 > data.size()) return 0;
+    pos += 2 + ((std::size_t{data[pos]} << 8) | data[pos + 1]);
+  }
+  return pos + 8 <= data.size() ? pos : 0;
+}
+
 void structure_mutate(Bytes& data, haystack::util::Pcg32& rng) {
   if (data.size() < 57) return;
   switch (rng.bounded(6)) {
@@ -97,26 +102,23 @@ void structure_mutate(Bytes& data, haystack::util::Pcg32& rng) {
       break;
     }
     case 3: {  // row count: huge values, including multiplication-overflow
-               // bait around 2^64/40, written over the 8 bytes preceding
-               // the (assumed canonical) 40-byte-aligned row tail
-      const std::size_t rows_bytes =
-          (data.size() - 57) - (data.size() - 57) % 40;
-      const std::size_t pos = data.size() - rows_bytes - 8;
+               // bait around 2^64 / 29 (the smallest row)
+      const std::size_t pos = row_count_at(data);
       constexpr std::uint64_t kCounts[] = {
-          0, 1, 0xffffffffULL, 0x0666666666666666ULL /* ~2^64/40 */,
-          0x0666666666666667ULL, 0xffffffffffffffffULL};
+          0, 1, 0xffffffffULL, 0x08d3dcb08d3dcb08ULL /* ~2^64/29 */,
+          0x08d3dcb08d3dcb09ULL, 0xffffffffffffffffULL};
       const std::uint64_t v = kCounts[rng.bounded(6)];
-      if (pos + 8 <= data.size()) {
+      if (pos != 0) {
         for (unsigned i = 0; i < 8; ++i) {
           data[pos + i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
         }
       }
       break;
     }
-    case 4: {  // a row's label index (rows sit at the 40-byte tail; the
-               // index is bytes 8..11 of the row)
-      if (data.size() < 57 + 40) break;
-      const std::size_t base = data.size() - 40 + 8;
+    case 4: {  // the first row's label index (bytes 8..11 of the row)
+      const std::size_t pos = row_count_at(data);
+      const std::size_t base = pos + 8 + 8;
+      if (pos == 0 || base + 4 > data.size()) break;
       const std::uint32_t v = rng.bounded(16);
       for (unsigned i = 0; i < 4; ++i) {
         data[base + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));

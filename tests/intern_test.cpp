@@ -3,12 +3,14 @@
 // The interning layer is the contract everything past the decode boundary
 // leans on: dense u32 handles, stable across rehash for the table's
 // lifetime, name() views that never dangle, and lossless round-trips
-// through the HSCK v2 checkpoint format. These tests pin each clause,
+// through the HSCK checkpoint format. These tests pin each clause,
 // including the degenerate regimes — a million distinct domains (far past
 // every rehash threshold) and adversarial serialize() images (truncation,
 // duplicates, trailing garbage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +20,7 @@
 #include "core/detector.hpp"
 #include "core/intern.hpp"
 #include "core/sharded_detector.hpp"
+#include "flow/wire.hpp"
 
 namespace haystack::core {
 namespace {
@@ -175,7 +178,7 @@ TEST(InternTable, RestoreRejectsMalformedImages) {
 }
 
 // ---------------------------------------------------------------------------
-// HSCK v2: evidence keyed by interned rule handles, intern table embedded.
+// HSCK: evidence keyed by interned rule handles, intern table embedded.
 
 struct Fixture {
   RuleSet rules;
@@ -234,23 +237,17 @@ TEST(CheckpointInterned, V2RoundTripsThroughInternedHandles) {
   fx.feed(det);
   const auto rows = snapshot(det);
 
-  const auto v1 = save_checkpoint(det);
-  const auto v2 = save_checkpoint_interned(det);
-  ASSERT_NE(v1, v2);
-  // Version fields: header is u32 magic then u32 version, big-endian.
-  EXPECT_EQ(v1[7], 1);
-  EXPECT_EQ(v2[7], 2);
+  const auto blob = save_checkpoint_compact(det);
+  // Version field: header is u32 magic then u32 version, big-endian.
+  EXPECT_EQ(blob[7], kCheckpointVersion);
   // Deterministic bytes for identical state.
-  EXPECT_EQ(save_checkpoint_interned(det), v2);
+  EXPECT_EQ(save_checkpoint_compact(det), blob);
 
-  Detector from_v1{fx.rules.hitlist, fx.rules, fx.config};
-  Detector from_v2{fx.rules.hitlist, fx.rules, fx.config};
-  ASSERT_TRUE(restore_checkpoint(v1, from_v1));
-  ASSERT_TRUE(restore_checkpoint(v2, from_v2));
-  EXPECT_EQ(snapshot(from_v1), rows);
-  EXPECT_EQ(snapshot(from_v2), rows);
-  EXPECT_EQ(from_v2.stats().flows, det.stats().flows);
-  EXPECT_EQ(from_v2.stats().matched, det.stats().matched);
+  Detector restored{fx.rules.hitlist, fx.rules, fx.config};
+  ASSERT_TRUE(restore_checkpoint(blob, restored));
+  EXPECT_EQ(snapshot(restored), rows);
+  EXPECT_EQ(restored.stats().flows, det.stats().flows);
+  EXPECT_EQ(restored.stats().matched, det.stats().matched);
 }
 
 TEST(CheckpointInterned, ShardedV2MatchesFlatAndRepartitions) {
@@ -260,24 +257,25 @@ TEST(CheckpointInterned, ShardedV2MatchesFlatAndRepartitions) {
 
   for (const unsigned shards : {1u, 4u}) {
     ShardedDetector sharded{fx.rules.hitlist, fx.rules, fx.config, shards};
-    ASSERT_TRUE(restore_checkpoint(save_checkpoint_interned(flat), sharded));
+    ASSERT_TRUE(restore_checkpoint(save_checkpoint_compact(flat), sharded));
     EXPECT_EQ(snapshot(sharded), snapshot(flat)) << "shards=" << shards;
-    // Identical state serializes to identical v2 bytes regardless of the
+    // Identical state serializes to identical bytes regardless of the
     // engine or partitioning that holds it.
-    EXPECT_EQ(save_checkpoint_interned(sharded),
-              save_checkpoint_interned(flat))
+    EXPECT_EQ(save_checkpoint_compact(sharded),
+              save_checkpoint_compact(flat))
         << "shards=" << shards;
   }
 }
 
 TEST(CheckpointInterned, V2SurvivesServiceRenumbering) {
   // The point of keying by rule *name*: a catalog that renumbers its
-  // services (here: reversed ids) still restores v2 evidence onto the
-  // right rules, where a v1 blob would attach it to the wrong ones.
+  // services (here: reversed ids) still restores evidence onto the right
+  // rules, where a blob keyed by raw service ids would attach it to the
+  // wrong ones.
   const Fixture fx;
   Detector det{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(det);
-  const auto v2 = save_checkpoint_interned(det);
+  const auto v2 = save_checkpoint_compact(det);
 
   Fixture renumbered;
   renumbered.rules.rules.clear();
@@ -312,7 +310,7 @@ TEST(CheckpointInterned, V2RejectsUnknownRulesAndCorruptTables) {
   const Fixture fx;
   Detector det{fx.rules.hitlist, fx.rules, fx.config};
   fx.feed(det);
-  const auto v2 = save_checkpoint_interned(det);
+  const auto v2 = save_checkpoint_compact(det);
 
   const auto expect_rejected = [&](std::span<const std::uint8_t> bad,
                                    const char* what) {
@@ -356,6 +354,143 @@ TEST(CheckpointInterned, V2RejectsUnknownRulesAndCorruptTables) {
     auto bad = v2;
     bad[32 + 3] ^= 0x7f;
     expect_rejected(bad, "corrupt intern count");
+  }
+}
+
+
+// Offset of the first subscriber group's u32 row count in a checkpoint of
+// `rules`' detector: the 32-byte header, the rule-name intern table (no
+// "svc/<id>" labels when every row has a rule), the u64 group count, then
+// the group's u64 subscriber.
+std::size_t first_row_count_at(const RuleSet& rules) {
+  InternTable table;
+  for (const auto& r : rules.rules) table.intern(r.name);
+  std::vector<std::uint8_t> bytes;
+  table.serialize(bytes);
+  return 32 + bytes.size() + 8 + 8;
+}
+
+TEST(CheckpointInterned, RejectsDuplicatedAndReorderedRows) {
+  const Fixture fx;
+  const auto expect_rejected = [&](const std::vector<std::uint8_t>& bad,
+                                   const char* what) {
+    Detector victim{fx.rules.hitlist, fx.rules, fx.config};
+    fx.feed(victim);
+    const auto before = snapshot(victim);
+    std::string error;
+    EXPECT_FALSE(restore_checkpoint(bad, victim, &error)) << what;
+    EXPECT_FALSE(error.empty()) << what;
+    EXPECT_EQ(snapshot(victim), before) << what;  // untouched on failure
+  };
+  const std::size_t count_at = first_row_count_at(fx.rules);
+
+  // One row, repeated inside its group with the row count raised to 2:
+  // accepting it would restore one row while reporting two.
+  {
+    Detector det{fx.rules.hitlist, fx.rules, fx.config};
+    det.observe(1, Fixture::endpoint(0, 0), 443, 5, 3);
+    const auto blob = save_checkpoint_compact(det);
+    ASSERT_EQ(blob[count_at + 3], 1);
+    auto dup = blob;
+    dup[count_at + 3] = 2;
+    dup.insert(dup.end(), blob.begin() + count_at + 4, blob.end());
+    expect_rejected(dup, "duplicated row");
+  }
+
+  // Two same-size rows of one subscriber, swapped.
+  {
+    Detector det{fx.rules.hitlist, fx.rules, fx.config};
+    det.observe(1, Fixture::endpoint(0, 0), 443, 5, 3);
+    det.observe(1, Fixture::endpoint(1, 0), 443, 5, 3);
+    const auto blob = save_checkpoint_compact(det);
+    ASSERT_EQ(blob[count_at + 3], 2);
+    const std::size_t rows_at = count_at + 4;
+    const std::size_t row_bytes = (blob.size() - rows_at) / 2;
+    auto swapped = blob;
+    std::copy(blob.begin() + rows_at + row_bytes, blob.end(),
+              swapped.begin() + rows_at);
+    std::copy(blob.begin() + rows_at, blob.begin() + rows_at + row_bytes,
+              swapped.begin() + rows_at + row_bytes);
+    ASSERT_NE(swapped, blob);
+    expect_rejected(swapped, "swapped rows");
+
+    Detector clean{fx.rules.hitlist, fx.rules, fx.config};
+    ASSERT_TRUE(restore_checkpoint(blob, clean));
+    EXPECT_EQ(snapshot(clean), snapshot(det));
+  }
+
+  // Two labels the restoring rule set maps onto one service: the saved
+  // "vendor-0" row and the ruleless "svc/9" row of one subscriber would
+  // both land on service 9.
+  {
+    Detector det{fx.rules.hitlist, fx.rules, fx.config};
+    det.observe(1, Fixture::endpoint(0, 0), 443, 5, 3);
+    det.restore_evidence(1, 9, *det.evidence(1, 0));
+    const auto blob = save_checkpoint_compact(det);
+    RuleSet renumbered = fx.rules;
+    renumbered.rules[0].service = 9;
+    Detector target{renumbered.hitlist, renumbered, fx.config};
+    std::string error;
+    EXPECT_FALSE(restore_checkpoint(blob, target, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_TRUE(snapshot(target).empty());
+  }
+}
+
+// A one-row blob in a layout older builds wrote and restore no longer
+// reads: version 1 keyed rows by raw u16 service id, version 2 by an
+// interned rule handle; both used fixed-width rows with a stored distinct
+// count and u32 hours.
+std::vector<std::uint8_t> retired_blob(std::uint32_t version,
+                                       double threshold) {
+  flow::ByteWriter w;
+  w.u32(kCheckpointMagic);
+  w.u32(version);
+  w.u64(std::bit_cast<std::uint64_t>(threshold));
+  w.u64(10);  // flows
+  w.u64(4);   // matched
+  if (version == 2) {
+    InternTable table;
+    table.intern("vendor-0");
+    std::vector<std::uint8_t> bytes;
+    table.serialize(bytes);
+    w.bytes(bytes);
+  }
+  w.u64(1);  // entry count
+  w.u64(1);  // subscriber
+  if (version == 1) {
+    w.u16(0);  // service id
+  } else {
+    w.u32(0);  // rule handle
+  }
+  w.u64(0b11);  // mask[0]
+  w.u64(0);     // mask[1]
+  w.u16(2);     // distinct
+  w.u64(7);     // packets
+  w.u32(3);     // first_seen
+  w.u32(Evidence::kNever);
+  return w.take();
+}
+
+TEST(CheckpointInterned, RejectsRetiredVersionsOneAndTwo) {
+  const Fixture fx;
+  for (const std::uint32_t version : {1U, 2U}) {
+    const auto blob = retired_blob(version, fx.config.threshold);
+    Detector flat{fx.rules.hitlist, fx.rules, fx.config};
+    fx.feed(flat);
+    const auto before = snapshot(flat);
+    const auto stats = flat.stats();
+    std::string error;
+    EXPECT_FALSE(restore_checkpoint(blob, flat, &error)) << version;
+    EXPECT_EQ(error, "unsupported checkpoint version") << version;
+    EXPECT_EQ(snapshot(flat), before) << version;
+    EXPECT_EQ(flat.stats().flows, stats.flows) << version;
+    EXPECT_EQ(flat.stats().matched, stats.matched) << version;
+
+    ShardedDetector sharded{fx.rules.hitlist, fx.rules, fx.config, 4};
+    ASSERT_TRUE(restore_checkpoint(save_checkpoint_compact(flat), sharded));
+    EXPECT_FALSE(restore_checkpoint(blob, sharded)) << version;
+    EXPECT_EQ(snapshot(sharded), before) << version;
   }
 }
 

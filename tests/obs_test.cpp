@@ -592,7 +592,7 @@ TEST(CheckpointObsTest, SaveRestoreAndRejectionRecordFlightEvents) {
   }
 
   obs::FlightRecorder rec{64};
-  auto blob = core::save_checkpoint(det, &rec);
+  auto blob = core::save_checkpoint_compact(det, &rec);
   std::string error;
   ASSERT_TRUE(core::restore_checkpoint(blob, det, &error, &rec)) << error;
   auto bad = blob;

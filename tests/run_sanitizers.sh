@@ -35,7 +35,7 @@ run_asan() {
   cmake --build build-asan -j "${jobs}"
   (cd build-asan && ctest --output-on-failure -j "${jobs}")
   (cd build-asan && ctest --output-on-failure -j "${jobs}" -L fault)
-  for codec in netflow_v9 ipfix dns_wire vantage_delta; do
+  for codec in netflow_v9 ipfix dns_wire vantage_delta checkpoint; do
     "./build-asan/tests/fuzz/fuzz_${codec}" --iterations 10000 --seed 1
   done
 }

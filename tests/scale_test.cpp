@@ -16,8 +16,8 @@
 //   - FlatEvidenceMap at a million entries: the ≤0.5 load-factor
 //     invariant (the `>=` growth fix), memory_bytes() accounting, and
 //     iteration completeness across every rehash step;
-//   - HSCK v3 / HSVD v2 compact forms restore bit-identical evidence and
-//     are strictly smaller than the formats they succeed;
+//   - the compact HSCK checkpoint rejects truncation and trailing bytes,
+//     and the HSVD delta decoder rejects non-canonical field widths;
 //   - the block-parallel wild-ISP generator emits the exact observation
 //     sequence of the single-threaded one at every worker count, under
 //     concurrent callers and when its sink throws, and the block cache
@@ -519,36 +519,6 @@ std::vector<EvidenceRow> evidence_rows(const DetectorT& det) {
   return rows;
 }
 
-TEST(ScaleCheckpoint, V3RestoresIdenticalStateAndIsSmaller) {
-  const RulesFixture fx;
-  core::Detector det{fx.rules.hitlist, fx.rules, fx.config};
-  fx.feed(det);
-  const auto rows = evidence_rows(det);
-  ASSERT_FALSE(rows.empty());
-
-  const auto v2 = core::save_checkpoint_interned(det);
-  const auto v3 = core::save_checkpoint_compact(det);
-  EXPECT_EQ(v3[7], 3);  // u32 magic, then big-endian u32 version
-  EXPECT_LT(v3.size(), v2.size());
-  EXPECT_EQ(core::save_checkpoint_compact(det), v3);  // deterministic
-
-  core::Detector restored{fx.rules.hitlist, fx.rules, fx.config};
-  ASSERT_TRUE(core::restore_checkpoint(v3, restored));
-  EXPECT_EQ(evidence_rows(restored), rows);
-  EXPECT_EQ(restored.stats().flows, det.stats().flows);
-  EXPECT_EQ(restored.stats().matched, det.stats().matched);
-
-  // Sharded engines restore and re-serialize to the same v3 bytes.
-  for (const unsigned shards : {1u, 4u}) {
-    core::ShardedDetector sharded{fx.rules.hitlist, fx.rules, fx.config,
-                                  shards};
-    ASSERT_TRUE(core::restore_checkpoint(v3, sharded));
-    EXPECT_EQ(evidence_rows(sharded), rows) << "shards=" << shards;
-    EXPECT_EQ(core::save_checkpoint_compact(sharded), v3)
-        << "shards=" << shards;
-  }
-}
-
 TEST(ScaleCheckpoint, V3RejectsTruncationAndTrailingBytes) {
   const RulesFixture fx;
   core::Detector det{fx.rules.hitlist, fx.rules, fx.config};
@@ -570,9 +540,8 @@ TEST(ScaleCheckpoint, V3RejectsTruncationAndTrailingBytes) {
   EXPECT_TRUE(evidence_rows(target).empty());
 }
 
-flow::EvidenceDelta sample_delta(std::uint32_t version) {
+flow::EvidenceDelta sample_delta() {
   flow::EvidenceDelta delta;
-  delta.version = version;
   delta.collector = 9;
   delta.seq = 3;
   delta.epoch = 17;
@@ -583,7 +552,7 @@ flow::EvidenceDelta sample_delta(std::uint32_t version) {
     row.subscriber = 0x2000 + i;
     row.label = i % 2;
     row.mask0 = 0x5ULL << (i % 32);
-    row.mask1 = i % 8 == 0 ? (1ULL << 40) : 0;     // mostly absent in v2
+    row.mask1 = i % 8 == 0 ? (1ULL << 40) : 0;     // mostly absent
     row.packets = i % 5 == 0 ? 0x2'0000'0000ULL : 100 + i;
     row.first_seen = i;
     delta.rows.push_back(row);
@@ -591,36 +560,11 @@ flow::EvidenceDelta sample_delta(std::uint32_t version) {
   return delta;
 }
 
-TEST(ScaleDelta, V2RoundTripsSmallerAndPreservesArrivalVersion) {
-  const auto v1_bytes = flow::encode_delta(sample_delta(flow::kDeltaVersion));
-  const auto v2_bytes =
-      flow::encode_delta(sample_delta(flow::kDeltaVersionCompact));
-  EXPECT_LT(v2_bytes.size(), v1_bytes.size());
-
-  flow::EvidenceDelta from_v1, from_v2;
-  ASSERT_TRUE(flow::decode_delta(v1_bytes, from_v1));
-  ASSERT_TRUE(flow::decode_delta(v2_bytes, from_v2));
-  EXPECT_EQ(from_v1.version, flow::kDeltaVersion);
-  EXPECT_EQ(from_v2.version, flow::kDeltaVersionCompact);
-  ASSERT_EQ(from_v1.rows.size(), from_v2.rows.size());
-  for (std::size_t i = 0; i < from_v1.rows.size(); ++i) {
-    EXPECT_EQ(from_v1.rows[i].subscriber, from_v2.rows[i].subscriber);
-    EXPECT_EQ(from_v1.rows[i].mask0, from_v2.rows[i].mask0);
-    EXPECT_EQ(from_v1.rows[i].mask1, from_v2.rows[i].mask1);
-    EXPECT_EQ(from_v1.rows[i].packets, from_v2.rows[i].packets);
-    EXPECT_EQ(from_v1.rows[i].first_seen, from_v2.rows[i].first_seen);
-  }
-  // Canonical: decoded messages re-encode to the bytes they arrived as,
-  // both versions (the fuzzer's round-trip property, pinned here too).
-  EXPECT_EQ(flow::encode_delta(from_v1), v1_bytes);
-  EXPECT_EQ(flow::encode_delta(from_v2), v2_bytes);
-}
-
 TEST(ScaleDelta, V2RejectsNonCanonicalWidths) {
   // A v2 row claiming the wide-packets flag for a value that fits 32 bits
   // (or a present-but-zero mask word) would make decode→encode lossy, so
   // the decoder must reject it. Build the bytes by hand from a valid row.
-  auto delta = sample_delta(flow::kDeltaVersionCompact);
+  auto delta = sample_delta();
   delta.rows.resize(1);
   delta.rows[0].mask1 = 0;
   delta.rows[0].packets = 50;

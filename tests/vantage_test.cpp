@@ -605,6 +605,13 @@ flow::EvidenceDelta sample_delta() {
   row.subscriber = 0x99;
   row.label = 0;
   delta.rows.push_back(row);
+  // Both optional widths the other way: no second mask word, a packet
+  // counter past 32 bits.
+  row.subscriber = 0xab;
+  row.mask1 = 0;
+  row.packets = 0x1'0000'0007ULL;
+  row.first_seen = 200;
+  delta.rows.push_back(row);
   return delta;
 }
 
@@ -733,6 +740,39 @@ TEST(VantageAggregator, RejectsForeignAndMalformedDeltas) {
   // And the legitimate delta still lands.
   EXPECT_TRUE(agg.offer(c0.seal_epoch(0)).accepted);
   EXPECT_EQ(agg.merged_through(), std::optional<util::HourBin>{0});
+}
+
+TEST(VantageAggregator, RejectsRetiredDeltaVersionOne) {
+  // HSVD version 1 (fixed 40-byte rows) is no longer decoded: a datagram
+  // whose version word says 1 is refused and leaves the aggregator's
+  // merged state as it was.
+  const TestScenario sc = make_scenario(1);
+  AggregatorConfig acfg;
+  acfg.detector = sc.config;
+  Aggregator agg{sc.rules.hitlist, sc.rules, acfg};
+  agg.add_collector(0, 0);
+
+  CollectorConfig ccfg;
+  ccfg.detector = sc.config;
+  Collector c0{sc.rules.hitlist, sc.rules, ccfg};
+  for (const Observation& obs : sc.stream[0]) c0.ingest(obs);
+  ASSERT_TRUE(agg.offer(c0.seal_epoch(0)).accepted);
+  const auto before = agg.save();
+  const auto merged = agg.merged_through();
+
+  for (const Observation& obs : sc.stream[1]) c0.ingest(obs);
+  auto retired = c0.seal_epoch(1);
+  ASSERT_EQ(retired[7], flow::kDeltaVersion);
+  retired[7] = 1;  // big-endian u32 version word after the magic
+  flow::EvidenceDelta out;
+  std::string error;
+  EXPECT_FALSE(flow::decode_delta(retired, out, &error));
+  EXPECT_EQ(error, "unsupported version");
+
+  EXPECT_FALSE(agg.offer(retired).accepted);
+  EXPECT_EQ(agg.counters().rejected, 1U);
+  EXPECT_EQ(agg.merged_through(), merged);
+  EXPECT_EQ(agg.save(), before);
 }
 
 TEST(VantageAggregator, HeartbeatHealthTracksLag) {

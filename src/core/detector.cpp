@@ -24,14 +24,7 @@ void Detector::apply_match(SubscriberKey subscriber, ServiceId service,
   Evidence& ev = evidence_.find_or_insert(subscriber, service, inserted);
   if (inserted) {
     ev.set_first_seen(hour);
-    if (instruments_.evidence_entries) {
-      instruments_.evidence_entries->set(
-          static_cast<std::int64_t>(evidence_.size()));
-    }
-    if (instruments_.evidence_bytes) {
-      instruments_.evidence_bytes->set(
-          static_cast<std::int64_t>(evidence_.memory_bytes()));
-    }
+    update_evidence_gauges();
   }
   ev.add_packets(packets);
 
@@ -123,10 +116,7 @@ void Detector::restore_evidence(SubscriberKey subscriber, ServiceId service,
                                 const Evidence& evidence) {
   bool inserted = false;
   evidence_.find_or_insert(subscriber, service, inserted) = evidence;
-  if (instruments_.evidence_entries) {
-    instruments_.evidence_entries->set(
-        static_cast<std::int64_t>(evidence_.size()));
-  }
+  update_evidence_gauges();
 }
 
 const Evidence* Detector::evidence(SubscriberKey subscriber,
@@ -143,7 +133,18 @@ void Detector::for_each_evidence(
 
 void Detector::clear() {
   evidence_.clear();
-  if (instruments_.evidence_entries) instruments_.evidence_entries->set(0);
+  update_evidence_gauges();
+}
+
+void Detector::update_evidence_gauges() {
+  if (instruments_.evidence_entries) {
+    instruments_.evidence_entries->set(
+        static_cast<std::int64_t>(evidence_.size()));
+  }
+  if (instruments_.evidence_bytes) {
+    instruments_.evidence_bytes->set(
+        static_cast<std::int64_t>(evidence_.memory_bytes()));
+  }
 }
 
 }  // namespace haystack::core

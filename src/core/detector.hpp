@@ -234,6 +234,9 @@ class Detector {
   void apply_match(SubscriberKey subscriber, ServiceId service,
                    std::uint16_t pos, const RuleFast& fast,
                    std::uint64_t packets, util::HourBin hour);
+  /// Sets the evidence entries and bytes gauges from the live map; the
+  /// insert, restore and clear paths all go through here.
+  void update_evidence_gauges();
 
   std::shared_ptr<const CompiledRuleVersion> compiled_;
   /// Flat open-addressing table: one cache line per probe on the hot

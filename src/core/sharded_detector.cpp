@@ -203,6 +203,7 @@ void ShardedDetector::flush_shard_locked(std::size_t s) const {
   Chunk chunk{version_.load(),
               std::move(pending_[s]), /*publish=*/false};
   pending_[s] = {};
+  pending_[s].reserve(kCoalesceItems);
   submit_locked(s, std::move(chunk));
 }
 
@@ -211,33 +212,10 @@ void ShardedDetector::flush_pending() const {
   for (std::size_t s = 0; s < pending_.size(); ++s) flush_shard_locked(s);
 }
 
-void ShardedDetector::observe(const Observation& obs) {
-  const auto ver = current_version();
-  std::uint64_t hits = 0;
-  const InternedObs interned = intern_obs(*ver->index, obs, hits);
-  bump_sig_counters(1, hits);
-  const auto s = shard_of(obs.subscriber);
-  if (interned.sig == kNoSig) {
-    // Boundary miss filter: a miss only ever bumps the flow counter, so
-    // fold it into the shard's miss tally instead of waking its worker.
-    count_misses(s, 1);
-    return;
-  }
-  std::lock_guard lock{pending_mu_};
-  pending_[s].push_back(interned);
-  if (pending_[s].size() >= kCoalesceItems) {
-    Chunk full{version_.load(),
-               std::move(pending_[s]), /*publish=*/false};
-    pending_[s] = {};
-    pending_[s].reserve(kCoalesceItems);
-    submit_locked(s, std::move(full));
-  }
-}
-
-void ShardedDetector::enqueue_batch(std::span<const Observation> batch) {
+template <typename Item, typename Resolve>
+void ShardedDetector::intake(std::span<const Item> batch, Resolve resolve) {
   if (batch.empty()) return;
   const std::size_t n = shards_.size();
-  const auto ver = current_version();
   std::uint64_t hits = 0;
   std::vector<std::uint64_t> misses(n, 0);
   // Partition preserving per-subscriber order, filtering misses at the
@@ -248,53 +226,38 @@ void ShardedDetector::enqueue_batch(std::span<const Observation> batch) {
   // the flows miss the hitlist — the shard queues carry only matches.
   {
     std::lock_guard lock{pending_mu_};
-    for (const auto& obs : batch) {
-      const InternedObs interned = intern_obs(*ver->index, obs, hits);
-      const auto s = shard_of(obs.subscriber);
-      if (interned.sig == kNoSig) {
+    for (const Item& item : batch) {
+      const InternedObs o = resolve(item);
+      const auto s = shard_of(o.subscriber);
+      if (o.sig == kNoSig) {
         ++misses[s];
         continue;
       }
-      pending_[s].push_back(interned);
-      if (pending_[s].size() >= kCoalesceItems) {
-        Chunk full{version_.load(),
-                   std::move(pending_[s]), /*publish=*/false};
-        pending_[s] = {};
-        pending_[s].reserve(kCoalesceItems);
-        submit_locked(s, std::move(full));
-      }
+      ++hits;
+      pending_[s].push_back(o);
+      if (pending_[s].size() >= kCoalesceItems) flush_shard_locked(s);
     }
   }
   bump_sig_counters(batch.size(), hits);
   for (std::size_t s = 0; s < n; ++s) count_misses(s, misses[s]);
 }
 
+void ShardedDetector::observe(const Observation& obs) {
+  enqueue_batch({&obs, 1});
+}
+
+void ShardedDetector::enqueue_batch(std::span<const Observation> batch) {
+  const auto ver = current_version();
+  intake(batch, [&index = *ver->index](const Observation& obs) {
+    return InternedObs{
+        obs.subscriber, obs.packets,
+        index.sig_of(obs.server, obs.port, util::day_of(obs.hour)),
+        obs.hour};
+  });
+}
+
 void ShardedDetector::enqueue_interned(std::span<const InternedObs> batch) {
-  if (batch.empty()) return;
-  const std::size_t n = shards_.size();
-  std::uint64_t hits = 0;
-  std::vector<std::uint64_t> misses(n, 0);
-  {
-    std::lock_guard lock{pending_mu_};
-    for (const auto& o : batch) {
-      const auto s = shard_of(o.subscriber);
-      if (o.sig == kNoSig) {
-        ++misses[s];
-        continue;
-      }
-      hits += 1;
-      pending_[s].push_back(o);
-      if (pending_[s].size() >= kCoalesceItems) {
-        Chunk full{version_.load(),
-                   std::move(pending_[s]), /*publish=*/false};
-        pending_[s] = {};
-        pending_[s].reserve(kCoalesceItems);
-        submit_locked(s, std::move(full));
-      }
-    }
-  }
-  bump_sig_counters(batch.size(), hits);
-  for (std::size_t s = 0; s < n; ++s) count_misses(s, misses[s]);
+  intake(batch, [](const InternedObs& o) { return o; });
 }
 
 void ShardedDetector::process_batch(std::span<const Observation> batch) {

@@ -326,15 +326,12 @@ class ShardedDetector {
   void handle_wave(unsigned s, std::vector<Chunk>& wave);
   void publish_view(unsigned s, WorkState& ws);
 
-  /// Resolves one Observation to its interned form, counting hits.
-  [[nodiscard]] static InternedObs intern_obs(const SignatureIndex& index,
-                                              const Observation& obs,
-                                              std::uint64_t& hits) {
-    const Signature sig =
-        index.sig_of(obs.server, obs.port, util::day_of(obs.hour));
-    hits += (sig != kNoSig) ? 1U : 0U;
-    return {obs.subscriber, obs.packets, sig, obs.hour};
-  }
+  /// The one intake loop behind enqueue_batch / enqueue_interned /
+  /// observe: `resolve` maps each item to its InternedObs, a miss folds
+  /// into the owning shard's flow count, and a hit joins that shard's
+  /// pending buffer, flushed once it holds kCoalesceItems.
+  template <typename Item, typename Resolve>
+  void intake(std::span<const Item> batch, Resolve resolve);
 
   /// Batched signature-lookup telemetry (one add per enqueue, not per
   /// observation).

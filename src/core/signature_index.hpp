@@ -5,11 +5,12 @@
 //
 // Layout:
 //   - Service endpoints (the hitlist's (IP, port) universe) are interned
-//     to dense u32 endpoint ids at build time. IPv4 endpoints live in a
-//     flat open-addressing table keyed (addr << 16) | port — one
-//     multiplicative hash + usually one probe. IPv6 endpoints route
-//     through the existing net::PrefixTrie (/128 entries, so the
-//     longest-prefix match is exact) to a per-address port list.
+//     to dense u32 endpoint ids at build time and stored in one flat
+//     open-addressing table shared by IPv4 and IPv6. A slot is keyed by
+//     the address's two 64-bit halves (IpAddress::hi()/lo()) plus a
+//     32-bit tag (family << 16) | port; the family in the tag keeps an
+//     IPv4 address apart from the IPv6 address with the same low bits.
+//     One multiplicative hash + usually one probe, either family.
 //   - Signatures live in a dense day-major table sig[day * stride + id],
 //     each packing the hitlist Hit as (service << 16) | domain_index.
 //     kNoSig marks (endpoint, day) pairs the hitlist does not cover —
@@ -34,7 +35,6 @@
 #include "core/hitlist.hpp"
 #include "core/intern.hpp"
 #include "core/rules.hpp"
-#include "net/prefix_trie.hpp"
 #include "util/sim_clock.hpp"
 
 namespace haystack::core {
@@ -68,37 +68,16 @@ class SignatureIndex {
   [[nodiscard]] Signature sig_of(const net::IpAddress& ip,
                                  std::uint16_t port,
                                  util::DayBin day) const noexcept {
-    if (day >= days_ || endpoint_count_ == 0) return kNoSig;
-    std::uint32_t id;
-    if (ip.is_v4()) {
-      if (v4_table_.empty()) return kNoSig;
-      const std::uint64_t key =
-          (std::uint64_t{ip.v4_value()} << 16) | port;
-      std::size_t slot =
-          static_cast<std::size_t>((key * kFib) >> v4_shift_);
-      for (;;) {
-        const V4Slot& s = v4_table_[slot];
-        if (s.key == key) {
-          id = s.id;
-          break;
-        }
-        if (s.key == kEmptyKey) return kNoSig;
-        slot = (slot + 1) & v4_mask_;
+    // days_ is 0 until build(), which always allocates the slot array.
+    if (day >= days_) return kNoSig;
+    const std::uint32_t tag = tag_of(ip, port);
+    for (std::size_t slot = home_slot(ip, tag);; slot = (slot + 1) & mask_) {
+      const Slot& s = slots_[slot];
+      if (s.tag == tag && s.lo == ip.lo() && s.hi == ip.hi()) {
+        return sig_[static_cast<std::size_t>(day) * stride_ + s.id];
       }
-    } else {
-      const auto group = v6_route_.lookup(ip);
-      if (!group) return kNoSig;
-      const auto& ports = v6_ports_[*group];
-      id = kNoSig;
-      for (const auto& [p, pid] : ports) {
-        if (p == port) {
-          id = pid;
-          break;
-        }
-      }
-      if (id == kNoSig) return kNoSig;
+      if (s.tag == kEmptyTag) return kNoSig;
     }
-    return sig_[static_cast<std::size_t>(day) * stride_ + id];
   }
 
   /// Distinct (IP, port) service endpoints interned.
@@ -111,29 +90,39 @@ class SignatureIndex {
 
  private:
   static constexpr std::uint64_t kFib = 0x9E3779B97F4A7C15ULL;
-  /// Real v4 keys have their top 16 bits clear ((u32 << 16) | u16), so
-  /// all-ones can never collide with one.
-  static constexpr std::uint64_t kEmptyKey = ~0ULL;
+  /// Real tags are (family << 16) | port with an 8-bit family, so their
+  /// top byte is clear and all-ones can never collide with one.
+  static constexpr std::uint32_t kEmptyTag = 0xffffffffU;
+
+  [[nodiscard]] static std::uint32_t tag_of(const net::IpAddress& ip,
+                                            std::uint16_t port) noexcept {
+    return (static_cast<std::uint32_t>(ip.family()) << 16) | port;
+  }
+
+  /// Fibonacci multiply-shift over the folded (hi, lo, tag) key.
+  [[nodiscard]] std::size_t home_slot(const net::IpAddress& ip,
+                                      std::uint32_t tag) const noexcept {
+    const std::uint64_t key =
+        (ip.hi() * kFib) ^ ip.lo() ^ (std::uint64_t{tag} << 32);
+    return static_cast<std::size_t>((key * kFib) >> shift_);
+  }
 
   util::DayBin days_ = 0;
   std::size_t endpoint_count_ = 0;
   std::size_t stride_ = 0;
 
-  // IPv4 endpoints: open-addressing, linear probing, power-of-two size.
-  // Key and id live in one 16-byte slot so a hit costs a single cache
-  // touch (the split key/id arrays cost two on every hit).
-  struct V4Slot {
-    std::uint64_t key = kEmptyKey;
+  // Endpoints of both families: open-addressing, linear probing,
+  // power-of-two size, load factor <= 0.5. Key and id share one 24-byte
+  // slot so a hit usually costs a single cache touch.
+  struct Slot {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    std::uint32_t tag = kEmptyTag;
     std::uint32_t id = 0;
   };
-  std::vector<V4Slot> v4_table_;
-  std::size_t v4_mask_ = 0;
-  unsigned v4_shift_ = 0;
-
-  // IPv6 endpoints: /128 routes to a per-address (port -> id) list.
-  net::PrefixTrie<std::uint32_t> v6_route_;
-  std::vector<std::vector<std::pair<std::uint16_t, std::uint32_t>>>
-      v6_ports_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
 
   // Day-major packed signatures; kNoSig where the hitlist has no entry.
   std::vector<Signature> sig_;

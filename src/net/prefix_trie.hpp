@@ -2,8 +2,7 @@
 //
 // Maps CIDR prefixes to values of type T; lookup returns the value of the
 // most specific prefix covering an address. Used by the AS registry
-// (address -> member AS at the IXP) and by the detection hitlist to mark
-// server-side infrastructure ranges.
+// (address -> member AS at the IXP).
 //
 // The trie is family-segregated internally: IPv4 and IPv6 prefixes live in
 // separate roots, so lookups never cross families.

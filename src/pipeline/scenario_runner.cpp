@@ -74,12 +74,14 @@ std::optional<StreamingReplayResult> replay_scenario_streaming(
   result.datagrams = result.stats.datagrams;
   result.observations = result.stats.observations;
 
+  // One fresh snapshot answers every row: ShardedDetector::detected()
+  // would ride a publish token and copy a shard's evidence map per row.
   std::map<core::ServiceId, std::size_t> per_service;
   std::unordered_set<core::SubscriberKey> any;
-  const auto& det = pipe.detector();
-  det.for_each_evidence([&](core::SubscriberKey subscriber,
-                            core::ServiceId service, const core::Evidence&) {
-    if (det.detected(subscriber, service)) {
+  const serve::DetectionSnapshot snap = pipe.control().fresh_snapshot();
+  snap.for_each_evidence([&](core::SubscriberKey subscriber,
+                             core::ServiceId service, const core::Evidence&) {
+    if (snap.detected(subscriber, service)) {
       ++per_service[service];
       any.insert(subscriber);
     }

@@ -609,6 +609,39 @@ TEST(CheckpointObsTest, SaveRestoreAndRejectionRecordFlightEvents) {
   EXPECT_GT(events[0].a, 0u);
 }
 
+// A resumed study is watched through the per-shard evidence gauges, so a
+// restore must leave both where the source had them — bytes included.
+TEST(CheckpointObsTest, RestoreSetsPerShardEvidenceGauges) {
+  const auto rules = four_domain_rules();
+  constexpr unsigned kShards = 2;
+  obs::Observability source_obs;
+  core::ShardedDetector source{rules.hitlist, rules, {.threshold = 1.0},
+                               kShards, 1024, &source_obs};
+  std::vector<core::Observation> batch;
+  for (core::SubscriberKey sub = 0; sub < 3000; ++sub) {
+    batch.push_back(
+        {sub, net::IpAddress::v4(0x0a010000U + sub % 4), 443, 5, 1});
+  }
+  source.process_batch(batch);
+  const auto blob = core::save_checkpoint_compact(source);
+
+  obs::Observability target_obs;
+  core::ShardedDetector target{rules.hitlist, rules, {.threshold = 1.0},
+                               kShards, 1024, &target_obs};
+  std::string error;
+  ASSERT_TRUE(core::restore_checkpoint(blob, target, &error)) << error;
+  for (unsigned s = 0; s < kShards; ++s) {
+    const Labels shard{{"shard", std::to_string(s)}};
+    for (const char* name :
+         {"detector_evidence_entries", "detector_evidence_bytes"}) {
+      const auto want = source_obs.registry.gauge(name, shard)->value();
+      EXPECT_GT(want, 0) << name << " shard " << s;
+      EXPECT_EQ(target_obs.registry.gauge(name, shard)->value(), want)
+          << name << " shard " << s;
+    }
+  }
+}
+
 // --- Deterministic flight-recorder replay of the fleet fault scenario ------
 
 // Wire-level events follow datagram order through the single decode path,

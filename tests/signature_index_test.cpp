@@ -1,9 +1,10 @@
 // SignatureIndex::sig_of is the one hitlist lookup every detect path
 // takes (Detector::observe included), so it is pinned here directly to
 // Hitlist::lookup over the simnet backend ruleset. That ruleset is
-// dual-stack: the sweep covers IPv4 endpoints (flat table) and IPv6
-// endpoints (prefix-trie route + per-address port list), near misses on
-// the port, unlisted addresses, and out-of-range days.
+// dual-stack, and both families share one slot table: the sweep covers
+// IPv4 and IPv6 endpoints, each probed again as the other family's
+// address with the same low bits, near misses on the port, unlisted
+// addresses, and out-of-range days.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -78,6 +79,12 @@ TEST_F(SignatureIndexTest, SigOfMatchesHitlistLookupOnBackendRuleset) {
                 day);
     expect_same(hitlist, index, ip, port, util::kStudyDays);
     expect_same(hitlist, index, ip, port, 0xffffffffU);
+    // The other family's address with the same low bits: the slot tag
+    // carries the family, so sig_of must agree with lookup here too.
+    const net::IpAddress other =
+        ip.is_v4() ? net::IpAddress::v6(0, ip.lo())
+                   : net::IpAddress::v4(static_cast<std::uint32_t>(ip.lo()));
+    expect_same(hitlist, index, other, port, day);
   });
   EXPECT_EQ(entries, hitlist.total_size());
   EXPECT_GT(v6_entries, 0U) << "backend ruleset should be dual-stack";

@@ -975,5 +975,29 @@ ack_loss 0.1
             std::string::npos);
 }
 
+// The streaming replay (wire export -> IngestPipeline) and the vantage
+// replay see the same normalized flows, so on a clean scenario their
+// detection tables agree row for row.
+TEST(VantageScenario, StreamingReplayDetectsWhatVantageReplayDetects) {
+  std::istringstream text{"lines 20000\nseed 5\n"};
+  const auto scenario = simnet::parse_scenario(text);
+  ASSERT_TRUE(scenario.has_value());
+  std::string err;
+  pipeline::StreamingReplayConfig scfg;
+  scfg.hours = 6;
+  const auto streaming =
+      pipeline::replay_scenario_streaming(*scenario, scfg, &err);
+  ASSERT_TRUE(streaming.has_value()) << err;
+  pipeline::VantageReplayConfig vcfg;
+  vcfg.hours = 6;
+  const auto fleet = pipeline::replay_scenario_vantage(*scenario, vcfg, &err);
+  ASSERT_TRUE(fleet.has_value()) << err;
+
+  EXPECT_TRUE(streaming->self_check.ok) << streaming->self_check.detail;
+  EXPECT_GT(streaming->subscribers_detected, 0U);
+  EXPECT_EQ(streaming->subscribers_detected, fleet->subscribers_detected);
+  EXPECT_EQ(streaming->per_service, fleet->per_service);
+}
+
 }  // namespace
 }  // namespace haystack::vantage

@@ -25,7 +25,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -162,10 +164,7 @@ class DatagramDeduper {
   /// `window` datagrams; otherwise records it and returns false.
   [[nodiscard]] bool seen_before(std::span<const std::uint8_t> datagram) {
     if (ring_.empty()) return false;
-    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the bytes
-    for (const std::uint8_t b : datagram) {
-      h = (h ^ b) * 0x100000001b3ULL;
-    }
+    std::uint64_t h = hash(datagram);
     if (h == 0) h = 1;  // 0 marks an empty slot
     if (std::find(ring_.begin(), ring_.end(), h) != ring_.end()) return true;
     ring_[next_] = h;
@@ -174,6 +173,51 @@ class DatagramDeduper {
   }
 
  private:
+  static constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+  static constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+
+  /// One lane step (the xxHash64 round): a bijection of `acc` for a fixed
+  /// word and of the word for a fixed `acc`, so two inputs differing in
+  /// one word leave the lanes in different states.
+  [[nodiscard]] static std::uint64_t round(std::uint64_t acc,
+                                           std::uint64_t word) noexcept {
+    return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+  }
+
+  [[nodiscard]] static std::uint64_t load64(const std::uint8_t* p) noexcept {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    return word;
+  }
+
+  /// Content hash, 8 bytes a step on two independent lanes. The length
+  /// seeds lane a, so a datagram and the same bytes plus a trailing zero
+  /// hash differently; the tail loads only the bytes that exist. The
+  /// murmur3 finalizer avalanches the combined lanes.
+  [[nodiscard]] static std::uint64_t hash(
+      std::span<const std::uint8_t> bytes) noexcept {
+    const std::uint8_t* p = bytes.data();
+    std::size_t n = bytes.size();
+    std::uint64_t a = kPrime1 ^ n;
+    std::uint64_t b = kPrime2;
+    for (; n >= 16; p += 16, n -= 16) {
+      a = round(a, load64(p));
+      b = round(b, load64(p + 8));
+    }
+    if (n >= 8) {
+      a = round(a, load64(p));
+      p += 8;
+      n -= 8;
+    }
+    std::uint64_t tail = 0;
+    if (n != 0) std::memcpy(&tail, p, n);
+    b = round(b, tail);
+    std::uint64_t h = a ^ std::rotl(b, 32);
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    return h ^ (h >> 33);
+  }
+
   std::vector<std::uint64_t> ring_;
   std::size_t next_ = 0;
 };

@@ -232,10 +232,11 @@ void IngestPipeline::emit_metered(flow::BatchArena::Lease rows,
 
 void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
   std::vector<flow::FlowRecord> v5_scratch;
+  flow::FlowBatch& rows = decode_rows_;
+  std::uint64_t decoded = 0;
   [[maybe_unused]] std::uint64_t wave_ns = 0;
-  [[maybe_unused]] std::uint64_t wave_rows = 0;
   for (const Datagram& dgram : wave) {
-    auto rows = arena_.acquire();
+    rows.clear();
     bool ok = false;
     [[maybe_unused]] std::chrono::steady_clock::time_point t0;
     if constexpr (!obs::kStripped) t0 = std::chrono::steady_clock::now();
@@ -245,13 +246,13 @@ void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
         // decode through the record path and copy into the batch.
         v5_scratch.clear();
         ok = nf5_.ingest(dgram.bytes, v5_scratch);
-        for (const auto& rec : v5_scratch) rows->push(rec);
+        for (const auto& rec : v5_scratch) rows.push(rec);
         break;
       case 9:
-        ok = nf9_.ingest_batch(dgram.bytes, *rows);
+        ok = nf9_.ingest_batch(dgram.bytes, rows);
         break;
       case 10:
-        ok = ipfix_.ingest_batch(dgram.bytes, *rows);
+        ok = ipfix_.ingest_batch(dgram.bytes, rows);
         break;
       default:
         unknown_version_->add(1);
@@ -262,16 +263,18 @@ void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
-      wave_rows += rows->size();
     }
     if (!ok) malformed_->add(1);
-    if (rows->empty()) continue;
-    flows_decoded_->add(rows->size());
-    normalize_->submit(0, DecodedBatch{dgram.hour, std::move(rows)});
+    decoded += rows.size();
+    normalize_rows(rows, dgram.hour, decode_out_);
   }
-  if constexpr (!obs::kStripped) {
-    if (wave_rows != 0) decode_ns_per_record_->record(wave_ns / wave_rows);
+  if (decoded != 0) {
+    if constexpr (!obs::kStripped) {
+      decode_ns_per_record_->record(wave_ns / decoded);
+    }
+    flows_decoded_->add(decoded);
   }
+  emit(decode_out_);
   decode_recovered_->set(static_cast<std::int64_t>(
       nf9_.stats().recovered_records + ipfix_.stats().recovered_records));
   decode_parked_->set(static_cast<std::int64_t>(
@@ -279,51 +282,59 @@ void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
 }
 
 void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
+  for (const DecodedBatch& batch : wave) {
+    normalize_rows(*batch.rows, batch.hour, normalize_out_);
+  }
+  emit(normalize_out_);
+}
+
+void IngestPipeline::normalize_rows(const flow::FlowBatch& rows,
+                                    util::HourBin hour,
+                                    NormalizedWave& out) const {
   if (fast_normalize_) {
     // Stock-normalizer fast path: read SoA columns straight into interned
     // observations — no FlowRecord, no core::Observation, no second
     // hitlist hash downstream. Exactly equivalent to the generic path
     // below under default_normalizer (which never drops a flow).
-    std::vector<core::InternedObs> chunk;
-    // Pin the compiled rule version for this wave (ISSUE 8): a hot-reload
-    // mid-wave must not swap the index under us, and a version pinned
-    // here stays alive until the wave's observations are applied.
-    const auto version = detector_.current_version();
-    const core::SignatureIndex& sig_index = *version->index;
+    //
+    // Pin the compiled rule version once per wave: a hot-reload
+    // mid-wave must not swap the index under us; emit() releases the pin
+    // once the wave is enqueued.
+    if (!out.version) out.version = detector_.current_version();
+    const core::SignatureIndex& sig_index = *out.version->index;
     const std::uint64_t key = config_.anonymization_key;
-    for (const DecodedBatch& batch : wave) {
-      const flow::FlowBatch& rows = *batch.rows;
-      const util::DayBin day = util::day_of(batch.hour);
-      chunk.clear();
-      chunk.reserve(rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        chunk.push_back(core::InternedObs{
-            telemetry::anonymize(rows.src[i], key), rows.packets[i],
-            sig_index.sig_of(rows.dst[i], rows.dst_port[i], day),
-            batch.hour});
-      }
-      if (chunk.empty()) continue;
-      observations_->add(chunk.size());
-      detector_.enqueue_interned(chunk);
+    const util::DayBin day = util::day_of(hour);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out.interned.push_back(core::InternedObs{
+          telemetry::anonymize(rows.src[i], key), rows.packets[i],
+          sig_index.sig_of(rows.dst[i], rows.dst_port[i], day), hour});
     }
     return;
   }
-  std::vector<core::Observation> chunk;
-  for (const DecodedBatch& batch : wave) {
-    const flow::FlowBatch& rows = *batch.rows;
-    chunk.clear();
-    chunk.reserve(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (auto obs = normalizer_(rows.record(i), batch.hour)) {
-        chunk.push_back(*obs);
-      } else {
-        dropped_direction_->add(1);
-      }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (auto obs = normalizer_(rows.record(i), hour)) {
+      out.generic.push_back(*obs);
+    } else {
+      ++out.dropped;
     }
-    if (chunk.empty()) continue;
-    observations_->add(chunk.size());
-    detector_.enqueue_batch(chunk);
   }
+}
+
+void IngestPipeline::emit(NormalizedWave& out) {
+  if (out.dropped != 0) dropped_direction_->add(out.dropped);
+  const std::size_t n = out.interned.size() + out.generic.size();
+  if (n != 0) {
+    observations_->add(n);
+    if (fast_normalize_) {
+      detector_.enqueue_interned(out.interned);
+    } else {
+      detector_.enqueue_batch(out.generic);
+    }
+  }
+  out.interned.clear();
+  out.generic.clear();
+  out.dropped = 0;
+  out.version.reset();
 }
 
 IngestPipeline::Stats IngestPipeline::stats() const {
@@ -368,10 +379,11 @@ IngestPipeline::SelfCheck IngestPipeline::self_check() {
     if (!out.detail.empty()) out.detail += "; ";
     out.detail += detail;
   };
-  // Flow conservation: every record that reached the normalize stage —
-  // from the metering cache, the decoders, or push_flows — became exactly
-  // one observation or one direction-drop. Direct observations bypass
-  // normalize, so they are subtracted from the observation total.
+  // Flow conservation: every record that was normalized — out of the
+  // decoders (in the decode stage), the metering cache or push_flows (in
+  // the normalize stage) — became exactly one observation or one
+  // direction-drop. Direct observations bypass normalization, so they are
+  // subtracted from the observation total.
   const std::uint64_t normalized = s.observations - s.observations_direct;
   const std::uint64_t entered =
       s.metered_flows + s.flows_decoded + s.flows_in;

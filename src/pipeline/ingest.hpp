@@ -6,26 +6,29 @@
 // service: concurrent stages connected by bounded queues with blocking
 // backpressure, not a batch replay.
 //
-//   push_packet ──▶ [metering] ──┐            (FlowCache, router-side)
-//   push_datagram ─▶ [decode] ───┼─▶ [normalize] ─▶ [detect × shards]
-//   push_flows ──────────────────┘
-//   push_observations ──────────────────────────▶ (straight to shards)
+//   push_datagram ─▶ [decode + normalize] ──────────┐
+//   push_packet ──▶ [metering] ──┐                  ├─▶ [detect × shards]
+//   push_flows ──────────────────┴─▶ [normalize] ───┤
+//   push_observations ──────────────────────────────┘
 //
 // Each bracketed stage is one worker thread over a BoundedQueue (the
 // detect stage is the ShardedDetector's persistent per-shard pool); a
 // full queue blocks the producer, so overload propagates back to the
 // datagram source instead of growing memory. The decode stage speaks all
 // three wire formats (NetFlow v5/v9, IPFIX), sniffed per datagram by the
-// version word. drain() is a topological quiescence barrier; shutdown()
-// closes intake, flushes the metering cache, and drains every stage in
-// dependency order. Per-stage depth/throughput/stall counters surface as
-// telemetry::StageStats.
+// version word, and normalizes each datagram's rows on the same thread:
+// datagrams never cross the normalize queue, which serves push_flows and
+// the metering stage only. drain() is a topological quiescence barrier;
+// shutdown() closes intake, flushes the metering cache, and drains every
+// stage in dependency order. Per-stage depth/throughput/stall counters
+// surface as telemetry::StageStats.
 //
-// Determinism: datagrams decode in push order, flows normalize in decode
-// order, and per-subscriber observation order is preserved through the
-// shard queues — so the final evidence map is bit-for-bit identical to a
-// synchronous replay (asserted by tests/differential_test.cpp for any
-// shard count and queue capacity).
+// Determinism: datagrams decode and normalize in push order on one
+// thread, flow batches normalize in push order, and per-subscriber
+// observation order is preserved through the shard queues — so the final
+// evidence map is bit-for-bit identical to a synchronous replay (asserted
+// by tests/differential_test.cpp for any shard count and queue
+// capacity).
 #pragma once
 
 #include <atomic>
@@ -209,15 +212,30 @@ class IngestPipeline {
     util::HourBin hour = 0;
     flow::BatchArena::Lease rows;
   };
+  /// One stage wave's observations, normalized under one pinned rule
+  /// version and handed to the shards in one enqueue call. Each stage
+  /// worker owns one and reuses its capacity.
+  struct NormalizedWave {
+    std::shared_ptr<const core::CompiledRuleVersion> version;
+    std::vector<core::InternedObs> interned;  ///< stock normalizer
+    std::vector<core::Observation> generic;   ///< custom normalizer
+    std::uint64_t dropped = 0;                ///< normalizer returned nullopt
+  };
 
   void meter_wave(std::vector<MeterItem>& wave);
   void decode_wave(std::vector<Datagram>& wave);
   void normalize_wave(std::vector<DecodedBatch>& wave);
   void emit_metered(flow::BatchArena::Lease rows, util::HourBin hour);
+  /// Row → observation conversion, shared by the decode and normalize
+  /// stages: appends `rows` (all of `hour`) to `out`.
+  void normalize_rows(const flow::FlowBatch& rows, util::HourBin hour,
+                      NormalizedWave& out) const;
+  /// Books `out`'s counters, enqueues its observations, and empties it.
+  void emit(NormalizedWave& out);
 
   IngestConfig config_;
-  /// True when running the stock normalizer: normalize reads SoA columns
-  /// straight into interned observations, never materializing FlowRecord
+  /// True when running the stock normalizer: rows go straight from SoA
+  /// columns into interned observations, never materializing FlowRecord
   /// or core::Observation. Must be declared before normalizer_ (it is
   /// initialized from the constructor parameter before the move).
   bool fast_normalize_ = false;
@@ -252,10 +270,14 @@ class IngestPipeline {
   std::unique_ptr<ShardPool<Datagram>> decode_;
   std::unique_ptr<ShardPool<MeterItem>> metering_;
 
-  // Decode-stage codec state (touched only by the decode worker).
+  // Decode-stage state (touched only by the decode worker): codecs, the
+  // one batch every datagram decodes into, and the wave it normalizes to.
   flow::nf9::Collector nf9_;
   flow::ipfix::Collector ipfix_;
   flow::nf5::Collector nf5_;
+  flow::FlowBatch decode_rows_;
+  NormalizedWave decode_out_;
+  NormalizedWave normalize_out_;  // normalize worker only
 
   // Metering-stage state (touched only by the metering worker, except the
   // post-stop flush in shutdown()). meter_rows_ is the lazily-acquired

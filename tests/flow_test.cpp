@@ -536,6 +536,52 @@ TEST(DeduperTest, WindowZeroDisables) {
   EXPECT_FALSE(dedup.seen_before(a));
 }
 
+TEST(DeduperTest, ExactOnContentAndLength) {
+  // A real ~1 KB export datagram: the second packet of a 48-record export
+  // carries 24 data records and no template.
+  nf9::Exporter exporter{{.source_id = 5}};
+  std::vector<FlowRecord> input;
+  for (std::uint32_t i = 0; i < 48; ++i) input.push_back(make_record(i));
+  const auto packets = exporter.export_flows(input, 1574000000);
+  ASSERT_EQ(packets.size(), 2u);
+  const std::vector<std::uint8_t>& datagram = packets[1];
+  ASSERT_GT(datagram.size(), 900u);
+
+  // Each check starts from a deduper that has seen only the datagram.
+  const auto suppressed_after_datagram =
+      [&](const std::vector<std::uint8_t>& other) {
+        DatagramDeduper dedup{64};
+        EXPECT_FALSE(dedup.seen_before(datagram));
+        return dedup.seen_before(other);
+      };
+  EXPECT_TRUE(suppressed_after_datagram(
+      std::vector<std::uint8_t>(datagram.begin(), datagram.end())));
+
+  auto longer = datagram;
+  longer.push_back(0);
+  EXPECT_FALSE(suppressed_after_datagram(longer));
+  const std::vector<std::uint8_t> shorter(datagram.begin(),
+                                          datagram.end() - 1);
+  EXPECT_FALSE(suppressed_after_datagram(shorter));
+  for (std::size_t offset = 0; offset < datagram.size(); ++offset) {
+    auto flipped = datagram;
+    flipped[offset] ^= static_cast<std::uint8_t>(1U << (offset % 8));
+    EXPECT_FALSE(suppressed_after_datagram(flipped)) << "offset " << offset;
+  }
+
+  // Zero-filled buffers differ only in length: every tail size, with and
+  // without a whole 8- or 16-byte block in front.
+  DatagramDeduper zeros{64};
+  for (std::size_t len = 0; len <= 17; ++len) {
+    EXPECT_FALSE(zeros.seen_before(std::vector<std::uint8_t>(len, 0)))
+        << "length " << len;
+  }
+  for (std::size_t len = 0; len <= 17; ++len) {
+    EXPECT_TRUE(zeros.seen_before(std::vector<std::uint8_t>(len, 0)))
+        << "length " << len;
+  }
+}
+
 TEST(NetFlowV9Test, DuplicateDatagramSuppressed) {
   nf9::Exporter exporter{{.source_id = 5}};
   std::vector<FlowRecord> input{make_record(1), make_record(2)};

@@ -6,9 +6,11 @@
 // set ids (2 / 3 / 255 / 256 / 257), template field counts, enterprise
 // bits, and the variable-length escape bytes.
 //
-// Properties: ingest() returns cleanly; decoded record count stays bounded
-// by message size; rejections are accounted in malformed_messages; the
-// collector keeps decoding pristine traffic afterwards.
+// Properties: ingest() returns cleanly, also with duplicate suppression
+// on, where the same message fed again straight away is exactly one
+// suppressed duplicate; decoded record count stays bounded by message
+// size; rejections are accounted in malformed_messages; the collector
+// keeps decoding pristine traffic afterwards.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -130,6 +132,12 @@ bool check(std::span<const std::uint8_t> input) {
   // fuzz-shaped form of the differential tier at the decode entry point.
   static ipfix::Collector persistent;
   static ipfix::Collector persistent_batch;
+  // The pipeline's decode stage runs with duplicate suppression on, so its
+  // datagram hash gets hostile bytes too, including unaligned tails.
+  static ipfix::Collector deduped{
+      ipfix::CollectorConfig{.dedup_window = 64}};
+  static ipfix::Collector deduped_batch{
+      ipfix::CollectorConfig{.dedup_window = 64}};
   ipfix::Collector fresh;
   ipfix::Collector fresh_batch;
   struct Pair {
@@ -137,7 +145,8 @@ bool check(std::span<const std::uint8_t> input) {
     ipfix::Collector* batch;
   };
   for (const Pair p : {Pair{&persistent, &persistent_batch},
-                       Pair{&fresh, &fresh_batch}}) {
+                       Pair{&fresh, &fresh_batch},
+                       Pair{&deduped, &deduped_batch}}) {
     std::vector<FlowRecord> out;
     const std::uint64_t malformed_before =
         p.ref->stats().malformed_messages;
@@ -161,9 +170,30 @@ bool check(std::span<const std::uint8_t> input) {
             p.ref->stats().malformed_messages ||
         p.batch->stats().records != p.ref->stats().records ||
         p.batch->stats().recovered_records !=
-            p.ref->stats().recovered_records) {
+            p.ref->stats().recovered_records ||
+        p.batch->stats().duplicate_messages !=
+            p.ref->stats().duplicate_messages) {
       return false;
     }
+  }
+  // The same bytes again straight away are one suppressed duplicate on
+  // both paths, whenever the header got as far as the deduper.
+  const bool header_ok =
+      input.size() >= 16 && input[0] == 0 && input[1] == 10 &&
+      static_cast<std::size_t>((input[2] << 8) | input[3]) == input.size();
+  const std::uint64_t duplicates_before = deduped.stats().duplicate_messages;
+  std::vector<FlowRecord> replayed;
+  FlowBatch replayed_batch;
+  if (deduped.ingest(input, replayed) != header_ok ||
+      deduped_batch.ingest_batch(input, replayed_batch) != header_ok) {
+    return false;
+  }
+  if (!replayed.empty() || !replayed_batch.empty() ||
+      deduped.stats().duplicate_messages !=
+          duplicates_before + (header_ok ? 1 : 0) ||
+      deduped_batch.stats().duplicate_messages !=
+          deduped.stats().duplicate_messages) {
+    return false;
   }
   // Liveness after arbitrary input. The persistent collectors must keep
   // *returning* on pristine traffic (a fuzzed message may legitimately

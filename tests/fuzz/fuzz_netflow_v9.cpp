@@ -6,7 +6,9 @@
 // field counts, and truncation at flowset boundaries.
 //
 // Properties checked per input:
-//   - ingest() returns (no crash, no OOB — sanitizers enforce the latter);
+//   - ingest() returns (no crash, no OOB — sanitizers enforce the latter),
+//     also with duplicate suppression on, where the same input fed again
+//     straight away is exactly one suppressed duplicate;
 //   - decoded record count is bounded by the packet size (every record
 //     consumes at least one body byte);
 //   - a malformed verdict increments the malformed_packets counter;
@@ -134,6 +136,11 @@ bool check(std::span<const std::uint8_t> input) {
   // fuzz-shaped form of the differential tier at the decode entry point.
   static nf9::Collector persistent;  // stateful across iterations
   static nf9::Collector persistent_batch;
+  // The pipeline's decode stage runs with duplicate suppression on, so its
+  // datagram hash gets hostile bytes too, including unaligned tails.
+  static nf9::Collector deduped{nf9::CollectorConfig{.dedup_window = 64}};
+  static nf9::Collector deduped_batch{
+      nf9::CollectorConfig{.dedup_window = 64}};
   nf9::Collector fresh;
   nf9::Collector fresh_batch;
   struct Pair {
@@ -141,7 +148,8 @@ bool check(std::span<const std::uint8_t> input) {
     nf9::Collector* batch;
   };
   for (const Pair p : {Pair{&persistent, &persistent_batch},
-                       Pair{&fresh, &fresh_batch}}) {
+                       Pair{&fresh, &fresh_batch},
+                       Pair{&deduped, &deduped_batch}}) {
     std::vector<FlowRecord> out;
     const std::uint64_t malformed_before = p.ref->stats().malformed_packets;
     // A template in this packet can release flowsets parked by earlier
@@ -164,9 +172,28 @@ bool check(std::span<const std::uint8_t> input) {
             p.ref->stats().malformed_packets ||
         p.batch->stats().records != p.ref->stats().records ||
         p.batch->stats().recovered_records !=
-            p.ref->stats().recovered_records) {
+            p.ref->stats().recovered_records ||
+        p.batch->stats().duplicate_packets !=
+            p.ref->stats().duplicate_packets) {
       return false;
     }
+  }
+  // The same bytes again straight away are one suppressed duplicate on
+  // both paths, whenever the header got as far as the deduper.
+  const bool header_ok = input.size() >= 20 && input[0] == 0 && input[1] == 9;
+  const std::uint64_t duplicates_before = deduped.stats().duplicate_packets;
+  std::vector<FlowRecord> replayed;
+  FlowBatch replayed_batch;
+  if (deduped.ingest(input, replayed) != header_ok ||
+      deduped_batch.ingest_batch(input, replayed_batch) != header_ok) {
+    return false;
+  }
+  if (!replayed.empty() || !replayed_batch.empty() ||
+      deduped.stats().duplicate_packets !=
+          duplicates_before + (header_ok ? 1 : 0) ||
+      deduped_batch.stats().duplicate_packets !=
+          deduped.stats().duplicate_packets) {
+    return false;
   }
   // The persistent collectors must still decode pristine traffic: a
   // fuzzed packet may legitimately poison templates (that is

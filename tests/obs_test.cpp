@@ -8,12 +8,14 @@
 // scrape-while-ingesting workload that the TSan acceptance pass runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -494,6 +496,99 @@ TEST(PipelineObsTest, SelfCheckPassesOnMixedIntakeAndCatchesTampering) {
   const auto events = pipe.observability().recorder.dump();
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.back().kind, EventKind::kSelfCheckFailed);
+}
+
+template <typename DetectorT>
+std::vector<std::tuple<core::SubscriberKey, core::ServiceId, std::uint64_t,
+                       std::uint64_t, std::uint16_t, std::uint64_t,
+                       util::HourBin, util::HourBin>>
+evidence_rows(const DetectorT& det) {
+  std::vector<std::tuple<core::SubscriberKey, core::ServiceId, std::uint64_t,
+                         std::uint64_t, std::uint16_t, std::uint64_t,
+                         util::HourBin, util::HourBin>>
+      rows;
+  det.for_each_evidence([&](core::SubscriberKey sub, core::ServiceId svc,
+                            const core::Evidence& ev) {
+    rows.emplace_back(sub, svc, ev.mask(0), ev.mask(1), ev.distinct(),
+                      ev.packets(), ev.first_seen(), ev.satisfied_hour());
+  });
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PipelineObsTest, DatagramsNormalizeInDecodeStageWithCustomNormalizer) {
+  // A custom normalizer on the datagram path: rows normalize on the decode
+  // worker through the generic path, so drops are counted there, and the
+  // normalize queue sees no traffic at all.
+  const auto rules = four_domain_rules();
+  pipeline::IngestConfig cfg;
+  cfg.shards = 2;
+  cfg.detector.threshold = 1.0;
+  const auto stock = pipeline::default_normalizer(cfg.anonymization_key);
+  const pipeline::Normalizer normalizer =
+      [stock](const flow::FlowRecord& rec,
+              util::HourBin hour) -> std::optional<core::Observation> {
+    if (rec.key.dst_port == 9999) return std::nullopt;
+    return stock(rec, hour);
+  };
+  pipeline::IngestPipeline pipe{rules.hitlist, rules, cfg, normalizer};
+
+  flow::nf9::Exporter exporter{{.source_id = 3}};
+  std::vector<std::pair<util::HourBin, std::vector<std::uint8_t>>> datagrams;
+  std::uint64_t marked = 0;
+  std::uint64_t sent = 0;
+  for (util::HourBin h = 0; h < 3; ++h) {
+    std::vector<flow::FlowRecord> flows;
+    for (std::uint32_t i = 0; i < 100; ++i) {
+      flows.push_back(pipeline_record(h * 100 + i));
+      if (i % 10 == 3) {
+        flows.back().key.dst_port = 9999;
+        ++marked;
+      }
+    }
+    sent += flows.size();
+    for (auto& packet : exporter.export_flows(flows, 1574000000U + h * 3600U)) {
+      datagrams.emplace_back(h, std::move(packet));
+    }
+  }
+  ASSERT_GT(datagrams.size(), 3u);
+  for (const auto& [hour, bytes] : datagrams) {
+    ASSERT_TRUE(pipe.push_datagram(bytes, hour));
+  }
+  pipe.drain();
+  const auto check = pipe.self_check();
+  EXPECT_TRUE(check.ok) << check.detail;
+
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.flows_decoded, sent);
+  EXPECT_EQ(st.dropped_direction, marked);
+  EXPECT_EQ(st.observations, sent - marked);
+  EXPECT_EQ(st.normalize.enqueued, 0u);
+  EXPECT_EQ(st.decode.enqueued, datagrams.size());
+
+  // Synchronous replay: record-at-a-time decode (same dedup window as the
+  // decode stage), the same normalizer, one flat detector.
+  flow::nf9::Collector collector{
+      flow::nf9::CollectorConfig{.dedup_window = cfg.dedup_window}};
+  core::Detector reference{rules.hitlist, rules, cfg.detector};
+  std::vector<flow::FlowRecord> records;
+  std::uint64_t dropped = 0;
+  for (const auto& [hour, bytes] : datagrams) {
+    records.clear();
+    ASSERT_TRUE(collector.ingest(bytes, records));
+    for (const auto& rec : records) {
+      if (const auto obs = normalizer(rec, hour)) {
+        reference.observe(obs->subscriber, obs->server, obs->port,
+                          obs->packets, obs->hour);
+      } else {
+        ++dropped;
+      }
+    }
+  }
+  EXPECT_EQ(dropped, marked);
+  const auto expected = evidence_rows(reference);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(evidence_rows(pipe.detector()), expected);
 }
 
 TEST(PipelineObsTest, StatsFacadeAgreesWithPrometheusScrape) {

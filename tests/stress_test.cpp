@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -287,43 +289,72 @@ TEST_F(PipelineStressTest, IngestShutdownMidStreamNoDeadlock) {
 }
 
 TEST_F(PipelineStressTest, TinyCapacityDatagramSoak) {
-  // Full wire path with every queue at capacity 1: the slowest possible
-  // configuration exercises producer/consumer stalls at each stage while
-  // remaining lossless end to end.
+  // Full wire path with every queue at capacity 1, lossless end to end.
+  // The backpressure is forced rather than left to timing: every shard
+  // wave publishes a view, and the first publish holds its shard worker
+  // on a latch. That shard's queue then fills, the decode worker blocks
+  // on it, the decode queue fills, and the pusher stalls. The latch is
+  // released only once the pusher's stall is on the books.
   IngestConfig cfg;
   cfg.shards = 3;
   cfg.queue_capacity = 1;
   cfg.max_wave = 1;
+  cfg.snapshots.auto_publish_observations = 1;
   IngestPipeline pipe{rules_->hitlist, *rules_, cfg};
+  std::latch release{1};
+  std::atomic<bool> held{false};
+  pipe.detector().set_publish_hook(
+      [&](const core::ShardView*, const core::ShardView&) {
+        if (!held.exchange(true)) release.wait();
+      });
 
-  flow::nf9::Exporter exporter{{.source_id = 7}};
-  std::vector<flow::FlowRecord> hour_records;
+  // Pushes rounds of 400 records until told to stop. A held shard's
+  // coalescing buffer must flush twice more before the decode worker
+  // blocks, so the supply (every round reuses the batch) is far larger
+  // than the stall needs.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> pusher_done{false};
   std::uint64_t flows_sent = 0;
-  for (util::HourBin h = 0; h < 3; ++h) {
-    hour_records.clear();
-    for (std::size_t i = h; i < batch_->size() && hour_records.size() < 400;
-         i += 7) {
-      const auto& obs = (*batch_)[i];
-      flow::FlowRecord rec;
-      rec.key.src = net::IpAddress::v4(0x0a000000u |
-                                       static_cast<std::uint32_t>(
-                                           obs.subscriber & 0xffffffu));
-      rec.key.dst = obs.server;
-      rec.key.src_port = 40'000;
-      rec.key.dst_port = obs.port;
-      rec.packets = obs.packets;
-      rec.bytes = obs.packets * 64;
-      rec.start_ms = h * 3'600'000ULL;
-      rec.end_ms = rec.start_ms + 1000;
-      rec.sampling = 1;
-      hour_records.push_back(rec);
+  std::uint64_t rejected = 0;
+  std::thread pusher([&] {
+    flow::nf9::Exporter exporter{{.source_id = 7}};
+    std::vector<flow::FlowRecord> records;
+    std::size_t next = 0;
+    for (std::uint32_t round = 0; round < 2'000 && !stop.load(); ++round) {
+      const util::HourBin h = round / 100;
+      records.clear();
+      for (; records.size() < 400; next = (next + 1) % batch_->size()) {
+        const auto& obs = (*batch_)[next];
+        flow::FlowRecord rec;
+        rec.key.src = net::IpAddress::v4(0x0a000000u |
+                                         static_cast<std::uint32_t>(
+                                             obs.subscriber & 0xffffffu));
+        rec.key.dst = obs.server;
+        rec.key.src_port = 40'000;
+        rec.key.dst_port = obs.port;
+        rec.packets = obs.packets;
+        rec.bytes = obs.packets * 64;
+        rec.start_ms = h * 3'600'000ULL;
+        rec.end_ms = rec.start_ms + 1000;
+        rec.sampling = 1;
+        records.push_back(rec);
+      }
+      for (auto& packet :
+           exporter.export_flows(records, 1574000000U + h * 3600U)) {
+        if (!pipe.push_datagram(std::move(packet), h)) ++rejected;
+      }
+      flows_sent += records.size();
     }
-    flows_sent += hour_records.size();
-    for (auto& packet :
-         exporter.export_flows(hour_records, 1574000000U + h * 3600U)) {
-      ASSERT_TRUE(pipe.push_datagram(std::move(packet), h));
-    }
+    pusher_done.store(true);
+  });
+  while (pipe.stats().decode.producer_stalls == 0 && !pusher_done.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  stop.store(true);
+  release.count_down();
+  pusher.join();
+  EXPECT_EQ(rejected, 0u);
+
   pipe.drain();
   const auto mid = pipe.stats();
   EXPECT_EQ(mid.flows_decoded, flows_sent);
@@ -335,6 +366,8 @@ TEST_F(PipelineStressTest, TinyCapacityDatagramSoak) {
   EXPECT_EQ(stats.flows_decoded, flows_sent);
   EXPECT_EQ(stats.observations, flows_sent);
   EXPECT_EQ(pipe.detector().stats().flows, flows_sent);
+  // Datagrams never cross the normalize queue.
+  EXPECT_EQ(stats.normalize.enqueued, 0u);
   // Capacity-1 queues must have produced real backpressure somewhere.
   EXPECT_GT(stats.decode.producer_stalls + stats.normalize.producer_stalls +
                 stats.detect.producer_stalls,

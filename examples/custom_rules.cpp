@@ -67,7 +67,7 @@ int main() {
   flow::FlowRecord web_flow = iot_flow;
   web_flow.key.dst = *net::IpAddress::parse("93.184.216.34");
 
-  flow::nf9::Exporter exporter{{.source_id = 11, .sampling = 1000}};
+  flow::nf9::Exporter exporter{{.source_id = 11}};
   const auto packets =
       exporter.export_flows(std::vector{iot_flow, web_flow}, 1574000000);
   std::cout << "Router exported " << packets.size()

@@ -1,9 +1,10 @@
 // Streaming scan: the scenario_scan workflow through the deployment-shape
 // streaming pipeline. One day of wild ISP traffic is exported by a border
 // fleet as real NetFlow v9 datagrams (options announcements, impairment,
-// the lot) and pushed into pipeline::IngestPipeline — a decode stage that
-// also normalizes, and detector shards, over bounded backpressured queues
-// — then the per-stage telemetry and detection table are printed.
+// the lot) and pushed into pipeline::IngestPipeline — a header pass, body
+// workers that decode and normalize, and detector shards, over bounded
+// backpressured queues — then the per-stage telemetry and detection table
+// are printed.
 //
 // Usage: streaming_scan <scenario-file> [hours] [--metrics] [--flight N]
 //
@@ -81,7 +82,8 @@ int main(int argc, char** argv) {
                 util::fmt_count(s.producer_stalls),
                 util::fmt_count(s.consumer_stalls)});
   };
-  stage_row("decode + normalize", st.decode);
+  stage_row("decode (header pass)", st.decode);
+  stage_row("bodies + normalize", st.decode_body);
   stage_row("detect (all shards)", st.detect);
   stages.print(std::cout);
   if (st.malformed_datagrams > 0 || st.unknown_version > 0) {

@@ -104,6 +104,9 @@ ShardedDetector::ShardedDetector(const Hitlist& hitlist, const RuleSet& rules,
       pool_config, [this](unsigned s, std::vector<Chunk>& wave) {
         handle_wave(s, wave);
       });
+  // Every intake path ends here, so the shard workers start with the
+  // detector rather than on its first chunk.
+  pool_->start();
 }
 
 ShardedDetector::~ShardedDetector() {

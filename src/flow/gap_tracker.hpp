@@ -1,10 +1,10 @@
 // Shared export-stream sequence tracking (ISSUE 2).
 //
-// All three codecs carry a 32-bit sequence counter in their packet headers
-// — v5 counts flows, v9 counts packets, IPFIX counts data records — and all
-// three previously grew their own ad-hoc gap detection. This header unifies
-// them behind one tracker that classifies every observed sequence number
-// with correct 32-bit wraparound semantics:
+// Both codecs carry a 32-bit sequence counter in their packet headers —
+// v9 counts packets, IPFIX counts data records — and each previously grew
+// its own ad-hoc gap detection. This header unifies them behind one
+// tracker that classifies every observed sequence number with correct
+// 32-bit wraparound semantics:
 //
 //   * kInOrder  — exactly the expected value;
 //   * kGap      — ahead of expectation: the in-between units are presumed

@@ -62,13 +62,13 @@ void write_record(ByteWriter& w, const FlowRecord& rec) {
   w.u32(rec.sampling);
 }
 
-// Record sinks for the shared decode implementation (see netflow_v9.cpp).
+// Record sinks for the shared protocol implementation (see netflow_v9.cpp).
 struct RecordSink {
   std::vector<FlowRecord>* out;
 };
 
-struct BatchSink {
-  FlowBatch* out;
+struct JobSink {
+  std::vector<plan::BodyJob>* jobs;
 };
 
 }  // namespace
@@ -201,7 +201,15 @@ bool Collector::ingest(std::span<const std::uint8_t> message,
 
 bool Collector::ingest_batch(std::span<const std::uint8_t> message,
                              FlowBatch& out) {
-  BatchSink sink{&out};
+  const bool ok = scan(message, batch_jobs_);
+  for (const plan::BodyJob& job : batch_jobs_) plan::execute(job, out);
+  batch_jobs_.clear();
+  return ok;
+}
+
+bool Collector::scan(std::span<const std::uint8_t> message,
+                     std::vector<plan::BodyJob>& jobs) {
+  JobSink sink{&jobs};
   return ingest_impl(message, sink);
 }
 
@@ -374,6 +382,10 @@ void Collector::recover_pending(std::uint32_t domain,
     ByteReader body{it->body};
     const std::uint64_t before = stats_.records;
     if (decode_data(body, it_tmpl->second, sink)) {
+      if constexpr (std::is_same_v<Sink, JobSink>) {
+        // The park entry is erased below; its job takes the bytes along.
+        sink.jobs->back().parked = std::move(it->body);
+      }
       const std::uint64_t recovered = stats_.records - before;
       ++stats_.recovered_sets;
       stats_.recovered_records += recovered;
@@ -459,7 +471,8 @@ bool Collector::decode_template_set(ByteReader& r, std::uint32_t domain,
     for (const auto& f : entry.fields) {
       wire.push_back({f.id, f.length, f.enterprise});
     }
-    entry.plan = plan::compile_ipfix(wire);
+    entry.plan =
+        std::make_shared<const plan::CompiledPlan>(plan::compile_ipfix(wire));
     templates_[{domain, template_id}] = std::move(entry);
     ++stats_.templates_learned;
     recover_pending(domain, template_id, sink);
@@ -470,18 +483,24 @@ bool Collector::decode_template_set(ByteReader& r, std::uint32_t domain,
 template <typename Sink>
 bool Collector::decode_data(ByteReader& r, const TemplateEntry& entry,
                             Sink& sink) {
-  if constexpr (std::is_same_v<Sink, BatchSink>) {
-    if (entry.plan.fast) {
-      if (entry.plan.record_len == 0) return false;  // as the reference
-      stats_.records += plan::execute(entry.plan, r.rest(), *sink.out);
+  if constexpr (std::is_same_v<Sink, JobSink>) {
+    // On success exactly one job is appended (recover_pending relies on
+    // it).
+    if (entry.plan->fast) {
+      if (entry.plan->record_len == 0) return false;  // as the reference
+      const std::span<const std::uint8_t> body = r.rest();
+      // Exactly the rows plan::execute will append.
+      stats_.records += body.size() / entry.plan->record_len;
+      plan::BodyJob& job = sink.jobs->emplace_back();
+      job.plan = entry.plan;
+      job.body = body;
       return true;
     }
-    // Variable-length template: reference walk through a scratch vector,
-    // preserving partial-decode behavior on malformed var-length framing.
-    std::vector<FlowRecord> scratch;
-    const bool ok = decode_data_set(r, entry.fields, scratch);
-    for (const auto& rec : scratch) sink.out->push(rec);
-    return ok;
+    // Variable-length template: the reference walk runs now, into the
+    // job's own rows, preserving partial-decode behavior on malformed
+    // var-length framing.
+    plan::BodyJob& job = sink.jobs->emplace_back();
+    return decode_data_set(r, entry.fields, job.records);
   } else {
     return decode_data_set(r, entry.fields, *sink.out);
   }

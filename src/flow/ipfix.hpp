@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -62,7 +63,6 @@ inline constexpr std::uint16_t kIeSamplingAlgorithm = 35;
 /// Exporter configuration.
 struct ExporterConfig {
   std::uint32_t observation_domain = 1;
-  std::uint32_t sampling = 1;
   std::size_t max_records_per_message = 24;
   std::uint32_t template_refresh_messages = 20;
 };
@@ -142,12 +142,18 @@ class Collector {
   bool ingest(std::span<const std::uint8_t> message,
               std::vector<FlowRecord>& out);
 
-  /// Batch decode: identical protocol handling and statistics to
-  /// `ingest`, but fixed-layout data sets decode via the template's
-  /// compiled field-offset plan straight into `out`'s columns (ISSUE 6).
-  /// Templates with variable-length fields fall back to the reference
-  /// walk internally; output is bit-identical either way.
+  /// Batch decode: `scan`, then the jobs executed in order straight into
+  /// `out`'s columns. Output is bit-identical to `ingest`.
   bool ingest_batch(std::span<const std::uint8_t> message, FlowBatch& out);
+
+  /// The stateful half of `ingest_batch` (see nf9::Collector::scan): one
+  /// job per data set with a known template. Fixed-layout sets defer to
+  /// their compiled plan; templates with variable-length fields run the
+  /// reference walk here, into the job's own rows. Records are counted at
+  /// scan time, so the record-sequence commit is unchanged. A job's body
+  /// may point into `message`, which must outlive it.
+  bool scan(std::span<const std::uint8_t> message,
+            std::vector<plan::BodyJob>& jobs);
 
   [[nodiscard]] const CollectorStats& stats() const noexcept { return stats_; }
 
@@ -176,11 +182,12 @@ class Collector {
   };
   using Template = std::vector<TemplateField>;
 
-  /// A learned template plus its decode plan, compiled at learn time.
-  /// `plan.fast` is false for templates with variable-length fields.
+  /// A learned template plus its decode plan, compiled at learn time and
+  /// shared with the jobs scanned under it. `plan->fast` is false for
+  /// templates with variable-length fields.
   struct TemplateEntry {
     Template fields;
-    plan::CompiledPlan plan;
+    std::shared_ptr<const plan::CompiledPlan> plan;
   };
 
   struct PendingSet {
@@ -201,9 +208,9 @@ class Collector {
     bool sequence_indeterminate = false;
   };
 
-  // `ingest` and `ingest_batch` share one protocol implementation,
-  // parameterized over the record sink (see netflow_v9). Defined in the
-  // .cpp; both instantiations live there.
+  // `ingest` and `scan` share one protocol implementation, parameterized
+  // over the record sink (see netflow_v9). Defined in the .cpp; both
+  // instantiations live there.
   template <typename Sink>
   bool ingest_impl(std::span<const std::uint8_t> message, Sink& sink);
   template <typename Sink>
@@ -236,6 +243,7 @@ class Collector {
   std::deque<PendingSet> pending_;
   DatagramDeduper deduper_;
   CollectorStats stats_;
+  std::vector<plan::BodyJob> batch_jobs_;  // reused by ingest_batch
 };
 
 }  // namespace haystack::flow::ipfix

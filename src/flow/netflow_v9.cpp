@@ -64,16 +64,15 @@ void write_record(ByteWriter& w, const FlowRecord& rec) {
   w.u32(rec.sampling);
 }
 
-// Record sinks for the shared decode implementation. The reference sink
-// appends FlowRecords via the per-field template walk; the batch sink
-// executes the compiled plan into SoA columns, falling back to the walk
-// (through a scratch vector) when the plan is not fast.
+// Record sinks for the shared protocol implementation. The reference sink
+// appends FlowRecords via the per-field template walk; the job sink defers
+// each data flowset as a plan::BodyJob.
 struct RecordSink {
   std::vector<FlowRecord>* out;
 };
 
-struct BatchSink {
-  FlowBatch* out;
+struct JobSink {
+  std::vector<plan::BodyJob>* jobs;
 };
 
 }  // namespace
@@ -163,7 +162,15 @@ bool Collector::ingest(std::span<const std::uint8_t> packet,
 
 bool Collector::ingest_batch(std::span<const std::uint8_t> packet,
                              FlowBatch& out) {
-  BatchSink sink{&out};
+  const bool ok = scan(packet, batch_jobs_);
+  for (const plan::BodyJob& job : batch_jobs_) plan::execute(job, out);
+  batch_jobs_.clear();
+  return ok;
+}
+
+bool Collector::scan(std::span<const std::uint8_t> packet,
+                     std::vector<plan::BodyJob>& jobs) {
+  JobSink sink{&jobs};
   return ingest_impl(packet, sink);
 }
 
@@ -331,6 +338,10 @@ void Collector::recover_pending(std::uint32_t source_id,
     ByteReader body{it->body};
     const std::uint64_t before = stats_.records;
     if (decode_data(body, it_tmpl->second, sink)) {
+      if constexpr (std::is_same_v<Sink, JobSink>) {
+        // The park entry is erased below; its job takes the bytes along.
+        sink.jobs->back().parked = std::move(it->body);
+      }
       ++stats_.recovered_flowsets;
       stats_.recovered_records += stats_.records - before;
       if (config_.recorder != nullptr) {
@@ -401,7 +412,8 @@ bool Collector::decode_template_flowset(ByteReader& r,
     for (const auto& f : entry.fields) {
       wire.push_back({f.type, f.length, false});
     }
-    entry.plan = plan::compile_netflow_v9(wire);
+    entry.plan = std::make_shared<const plan::CompiledPlan>(
+        plan::compile_netflow_v9(wire));
     templates_[{source_id, template_id}] = std::move(entry);
     ++stats_.templates_learned;
     recover_pending(source_id, template_id, sink);
@@ -412,19 +424,24 @@ bool Collector::decode_template_flowset(ByteReader& r,
 template <typename Sink>
 bool Collector::decode_data(ByteReader& r, const TemplateEntry& entry,
                             Sink& sink) {
-  if constexpr (std::is_same_v<Sink, BatchSink>) {
-    if (entry.plan.fast) {
-      if (entry.plan.record_len == 0) return false;  // as the reference
-      stats_.records += plan::execute(entry.plan, r.rest(), *sink.out);
+  if constexpr (std::is_same_v<Sink, JobSink>) {
+    // On success exactly one job is appended (recover_pending relies on
+    // it).
+    if (entry.plan->fast) {
+      if (entry.plan->record_len == 0) return false;  // as the reference
+      const std::span<const std::uint8_t> body = r.rest();
+      // Exactly the rows plan::execute will append.
+      stats_.records += body.size() / entry.plan->record_len;
+      plan::BodyJob& job = sink.jobs->emplace_back();
+      job.plan = entry.plan;
+      job.body = body;
       return true;
     }
     // Plan cannot represent the template (never for v9 in practice, but
-    // kept for symmetry with IPFIX): reference walk through a scratch
-    // vector, preserving partial-decode behavior.
-    std::vector<FlowRecord> scratch;
-    const bool ok = decode_data_flowset(r, entry.fields, scratch);
-    for (const auto& rec : scratch) sink.out->push(rec);
-    return ok;
+    // kept for symmetry with IPFIX): the reference walk runs now, into
+    // the job's own rows, preserving partial-decode behavior.
+    plan::BodyJob& job = sink.jobs->emplace_back();
+    return decode_data_flowset(r, entry.fields, job.records);
   } else {
     return decode_data_flowset(r, entry.fields, *sink.out);
   }

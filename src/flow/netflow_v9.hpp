@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,7 +54,6 @@ inline constexpr std::uint16_t kTemplateV6 = 257;
 /// Exporter configuration.
 struct ExporterConfig {
   std::uint32_t source_id = 1;        ///< engine id in the packet header
-  std::uint32_t sampling = 1;         ///< 1-in-N, stamped into each record
   std::size_t max_records_per_packet = 24;
   /// Emit template flowsets every `template_refresh_packets` packets
   /// (and always in the first packet), as real exporters do.
@@ -146,12 +146,21 @@ class Collector {
   bool ingest(std::span<const std::uint8_t> packet,
               std::vector<FlowRecord>& out);
 
-  /// Batch decode: identical protocol handling and statistics to
-  /// `ingest`, but data flowsets decode via the template's compiled
-  /// field-offset plan straight into `out`'s columns (ISSUE 6). For any
-  /// packet and collector state, appends exactly the rows `ingest` would
-  /// have appended, bit for bit.
+  /// Batch decode: `scan`, then the jobs executed in order straight into
+  /// `out`'s columns. For any packet and collector state, appends exactly
+  /// the rows `ingest` would have appended, bit for bit.
   bool ingest_batch(std::span<const std::uint8_t> packet, FlowBatch& out);
+
+  /// The stateful half of `ingest_batch`: header, duplicate check,
+  /// sequence and restart handling, template learning, parking and
+  /// recovery, with every statistic and flight event exactly as `ingest`.
+  /// Each data flowset with a known template appends one job to `jobs`
+  /// instead of being decoded; its records are counted as the job will
+  /// yield them. Executing the appended jobs in order (plan::execute)
+  /// yields `ingest`'s rows. A job's body may point into `packet`, which
+  /// must outlive it.
+  bool scan(std::span<const std::uint8_t> packet,
+            std::vector<plan::BodyJob>& jobs);
 
   [[nodiscard]] const CollectorStats& stats() const noexcept { return stats_; }
 
@@ -178,10 +187,11 @@ class Collector {
   using Template = std::vector<TemplateField>;
 
   /// A learned template plus its decode plan, compiled once at learn time
-  /// (templates are learned off the hot path; data flowsets are not).
+  /// (templates are learned off the hot path; data flowsets are not). Jobs
+  /// share the plan, so a redefinition never reaches an earlier job.
   struct TemplateEntry {
     Template fields;
-    plan::CompiledPlan plan;
+    std::shared_ptr<const plan::CompiledPlan> plan;
   };
 
   struct PendingFlowset {
@@ -197,11 +207,10 @@ class Collector {
     std::uint32_t restarts = 0;
   };
 
-  // `ingest` and `ingest_batch` share one protocol implementation,
-  // parameterized over the record sink (RecordSink appends FlowRecords
-  // via the reference walk; BatchSink executes the compiled plan into
-  // FlowBatch columns). Defined in the .cpp; both instantiations live
-  // there.
+  // `ingest` and `scan` share one protocol implementation, parameterized
+  // over the record sink (RecordSink appends FlowRecords via the
+  // reference walk; JobSink defers each body as a plan::BodyJob). Defined
+  // in the .cpp; both instantiations live there.
   template <typename Sink>
   bool ingest_impl(std::span<const std::uint8_t> packet, Sink& sink);
   template <typename Sink>
@@ -226,6 +235,7 @@ class Collector {
   std::deque<PendingFlowset> pending_;
   DatagramDeduper deduper_;
   CollectorStats stats_;
+  std::vector<plan::BodyJob> batch_jobs_;  // reused by ingest_batch
 };
 
 }  // namespace haystack::flow::nf9

@@ -230,4 +230,10 @@ std::size_t execute(const CompiledPlan& plan,
   return count;
 }
 
+std::size_t execute(const BodyJob& job, FlowBatch& out) {
+  if (job.plan) return execute(*job.plan, job.body, out);
+  for (const FlowRecord& rec : job.records) out.push(rec);
+  return job.records.size();
+}
+
 }  // namespace haystack::flow::plan

@@ -21,14 +21,23 @@
 // get no op: the offset accumulation skips them, exactly like the
 // reference's skip-at-declared-length rule. Duplicate fields get one op
 // each in template order, so the last write wins as in the reference.
+//
+// A collector's `scan` (the stateful half of batch decode) does not
+// execute plans itself: it hands back one `BodyJob` per data flowset or
+// set, and `execute(job, out)` decodes it later, on any thread. A job
+// owns everything it reads — the plan it was scanned under and, for a
+// recovered parked body, the body bytes — except a body that points into
+// its datagram, which the caller keeps alive until the job has run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "flow/flow_batch.hpp"
+#include "flow/record.hpp"
 
 namespace haystack::flow::plan {
 
@@ -92,5 +101,25 @@ struct WireField {
 /// Preconditions: `plan.fast` and `plan.record_len > 0`.
 std::size_t execute(const CompiledPlan& plan,
                     std::span<const std::uint8_t> body, FlowBatch& out);
+
+/// One data flowset (v9) or data set (IPFIX) that a collector's scan
+/// deferred. With a plan, `body` decodes under it at execute time; a
+/// later re-announcement or restart cannot change what the job decodes.
+/// Without one (a template the plan cannot represent), the scan already
+/// ran the reference walk, and `records` holds its rows.
+struct BodyJob {
+  std::shared_ptr<const CompiledPlan> plan;
+  /// The record bytes: a span into the datagram, or into `parked`.
+  std::span<const std::uint8_t> body;
+  /// A recovered parked body's bytes, moved out of the collector's park.
+  /// Moving a vector keeps its buffer, so `body` stays valid when the job
+  /// moves.
+  std::vector<std::uint8_t> parked;
+  std::vector<FlowRecord> records;
+};
+
+/// Appends the job's rows to `out` — exactly the rows the collector's
+/// record-at-a-time walk yields for that body — and returns their count.
+std::size_t execute(const BodyJob& job, FlowBatch& out);
 
 }  // namespace haystack::flow::plan

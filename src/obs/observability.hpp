@@ -18,6 +18,7 @@ enum StageTag : std::uint32_t {
   kStageDecode = 2,
   kStageNormalize = 3,
   kStageDetect = 4,
+  kStageDecodeBody = 5,
 };
 
 [[nodiscard]] constexpr const char* stage_name(std::uint32_t tag) noexcept {
@@ -26,6 +27,7 @@ enum StageTag : std::uint32_t {
     case kStageDecode: return "decode";
     case kStageNormalize: return "normalize";
     case kStageDetect: return "detect";
+    case kStageDecodeBody: return "decode_body";
     default: return "unknown";
   }
 }

@@ -1,10 +1,12 @@
 #include "pipeline/ingest.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
 
 #include "telemetry/anonymize.hpp"
+#include "util/cpus.hpp"
 
 namespace haystack::pipeline {
 
@@ -23,8 +25,8 @@ Normalizer default_normalizer(std::uint64_t anonymization_key) {
 
 namespace {
 
-// Export version word (first two bytes, network order): 5 = NetFlow v5,
-// 9 = NetFlow v9, 10 = IPFIX.
+// Export version word (first two bytes, network order): 9 = NetFlow v9,
+// 10 = IPFIX.
 [[nodiscard]] std::uint16_t sniff_version(
     const std::vector<std::uint8_t>& bytes) noexcept {
   if (bytes.size() < 2) return 0;
@@ -88,7 +90,6 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
   // hook before any observation can flow.
   control_ = std::make_unique<serve::ControlPlane>(detector_, config_.alerts,
                                                    obs_);
-  nf5_.set_recorder(&obs_->recorder);
   auto make_stage = [this](std::uint32_t tag) {
     const obs::Labels labels{{"stage", obs::stage_name(tag)}};
     StageInstruments inst;
@@ -98,6 +99,7 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
   };
   meter_obs_ = make_stage(obs::kStageMeter);
   decode_obs_ = make_stage(obs::kStageDecode);
+  body_obs_ = make_stage(obs::kStageDecodeBody);
   normalize_obs_ = make_stage(obs::kStageNormalize);
   auto stage_config = [this](const StageInstruments& inst, std::uint32_t tag) {
     ShardPoolConfig stage{.shards = 1,
@@ -114,6 +116,19 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
       stage_config(normalize_obs_, obs::kStageNormalize),
       [this](unsigned, std::vector<DecodedBatch>& wave) {
         normalize_wave(wave);
+      });
+  // Body stage: one queue per worker, each bounded to the datagrams the
+  // decode queue holds (a batch is at most one decode wave). Workers take
+  // one batch per wake-up, since each commit waits for its turn.
+  ShardPoolConfig body = stage_config(body_obs_, obs::kStageDecodeBody);
+  body.shards = std::max(1u, util::usable_cpus() - 1);
+  body.queue_capacity = std::max<std::size_t>(
+      1, config_.queue_capacity / std::max<std::size_t>(1, config_.max_wave));
+  body.max_wave = 1;
+  body_workers_.resize(body.shards);
+  bodies_ = std::make_unique<ShardPool<BodyBatch>>(
+      body, [this](unsigned worker, std::vector<BodyBatch>& wave) {
+        body_wave(worker, wave);
       });
   decode_ = std::make_unique<ShardPool<Datagram>>(
       stage_config(decode_obs_, obs::kStageDecode),
@@ -171,9 +186,10 @@ void IngestPipeline::drain() {
   // Topological order: each stage's drain happens-before the next stage's
   // submitted-counter snapshot, so anything a stage forwarded downstream
   // is covered by the downstream barrier.
-  if (metering_ && metering_->running()) metering_->drain();
-  if (decode_ && decode_->running()) decode_->drain();
-  if (normalize_ && normalize_->running()) normalize_->drain();
+  metering_->drain();
+  decode_->drain();
+  bodies_->drain();
+  normalize_->drain();
   detector_.drain();
 }
 
@@ -192,6 +208,7 @@ void IngestPipeline::shutdown() {
   emit_metered(std::move(meter_rows_),
                last_meter_hour_.load(std::memory_order_relaxed));
   decode_->stop();
+  bodies_->stop();
   normalize_->stop();
   detector_.drain();  // detect stage stays alive for reads
   obs_->recorder.record(obs::EventKind::kPipelineShutdown, 0,
@@ -231,54 +248,73 @@ void IngestPipeline::emit_metered(flow::BatchArena::Lease rows,
 }
 
 void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
-  std::vector<flow::FlowRecord> v5_scratch;
-  flow::FlowBatch& rows = decode_rows_;
-  std::uint64_t decoded = 0;
-  [[maybe_unused]] std::uint64_t wave_ns = 0;
+  BodyBatch batch;
+  batch.job_ends.reserve(wave.size());
   for (const Datagram& dgram : wave) {
-    rows.clear();
-    bool ok = false;
-    [[maybe_unused]] std::chrono::steady_clock::time_point t0;
-    if constexpr (!obs::kStripped) t0 = std::chrono::steady_clock::now();
+    bool ok = true;
     switch (sniff_version(dgram.bytes)) {
-      case 5:
-        // v5 is a fixed self-describing layout with no template state;
-        // decode through the record path and copy into the batch.
-        v5_scratch.clear();
-        ok = nf5_.ingest(dgram.bytes, v5_scratch);
-        for (const auto& rec : v5_scratch) rows.push(rec);
-        break;
       case 9:
-        ok = nf9_.ingest_batch(dgram.bytes, rows);
+        ok = nf9_.scan(dgram.bytes, batch.jobs);
         break;
       case 10:
-        ok = ipfix_.ingest_batch(dgram.bytes, rows);
+        ok = ipfix_.scan(dgram.bytes, batch.jobs);
         break;
       default:
         unknown_version_->add(1);
-        continue;
-    }
-    if constexpr (!obs::kStripped) {
-      wave_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
+        break;
     }
     if (!ok) malformed_->add(1);
-    decoded += rows.size();
-    normalize_rows(rows, dgram.hour, decode_out_);
+    batch.job_ends.push_back(static_cast<std::uint32_t>(batch.jobs.size()));
   }
-  if (decoded != 0) {
-    if constexpr (!obs::kStripped) {
-      decode_ns_per_record_->record(wave_ns / decoded);
-    }
-    flows_decoded_->add(decoded);
-  }
-  emit(decode_out_);
   decode_recovered_->set(static_cast<std::int64_t>(
       nf9_.stats().recovered_records + ipfix_.stats().recovered_records));
   decode_parked_->set(static_cast<std::int64_t>(
       nf9_.stats().buffered_flowsets + ipfix_.stats().buffered_sets));
+  if (batch.jobs.empty()) return;  // nothing to decode: no ticket
+  // The jobs point into these datagrams' bytes; swapping the vectors
+  // moves no datagram.
+  batch.datagrams.swap(wave);
+  batch.ticket = next_ticket_++;
+  bodies_->submit(static_cast<unsigned>(batch.ticket % bodies_->shards()),
+                  std::move(batch));
+}
+
+void IngestPipeline::body_wave(unsigned worker, std::vector<BodyBatch>& wave) {
+  BodyWorker& self = body_workers_[worker];
+  for (BodyBatch& batch : wave) {
+    std::uint64_t decoded = 0;
+    [[maybe_unused]] std::uint64_t decode_ns = 0;
+    std::size_t job = 0;
+    for (std::size_t d = 0; d < batch.datagrams.size(); ++d) {
+      const std::size_t end = batch.job_ends[d];
+      if (job == end) continue;
+      self.rows.clear();
+      [[maybe_unused]] std::chrono::steady_clock::time_point t0;
+      if constexpr (!obs::kStripped) t0 = std::chrono::steady_clock::now();
+      for (; job < end; ++job) flow::plan::execute(batch.jobs[job], self.rows);
+      if constexpr (!obs::kStripped) {
+        decode_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+      }
+      decoded += self.rows.size();
+      normalize_rows(self.rows, batch.datagrams[d].hour, self.out);
+    }
+    if constexpr (!obs::kStripped) {
+      if (decoded != 0) decode_ns_per_record_->record(decode_ns / decoded);
+    }
+    // Commit in ticket order: one enqueue per batch, in push order.
+    std::unique_lock lock{commit_mu_};
+    commit_cv_.wait(lock, [&] { return next_commit_ == batch.ticket; });
+    lock.unlock();
+    flows_decoded_->add(decoded);
+    emit(self.out);
+    lock.lock();
+    ++next_commit_;
+    lock.unlock();
+    commit_cv_.notify_all();
+  }
 }
 
 void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
@@ -341,6 +377,7 @@ IngestPipeline::Stats IngestPipeline::stats() const {
   Stats out;
   out.metering = metering_->stats_total();
   out.decode = decode_->stats_total();
+  out.decode_body = bodies_->stats_total();
   out.normalize = normalize_->stats_total();
   out.detect_shards.reserve(detector_.shard_count());
   for (unsigned s = 0; s < detector_.shard_count(); ++s) {
@@ -380,7 +417,7 @@ IngestPipeline::SelfCheck IngestPipeline::self_check() {
     out.detail += detail;
   };
   // Flow conservation: every record that was normalized — out of the
-  // decoders (in the decode stage), the metering cache or push_flows (in
+  // decoders (in the body stage), the metering cache or push_flows (in
   // the normalize stage) — became exactly one observation or one
   // direction-drop. Direct observations bypass normalization, so they are
   // subtracted from the observation total.
@@ -407,6 +444,7 @@ IngestPipeline::SelfCheck IngestPipeline::self_check() {
     const telemetry::StageStats& st;
   } stages[] = {{"metering", s.metering},
                 {"decode", s.decode},
+                {"decode_body", s.decode_body},
                 {"normalize", s.normalize},
                 {"detect", s.detect}};
   for (const auto& stage : stages) {

@@ -6,35 +6,48 @@
 // service: concurrent stages connected by bounded queues with blocking
 // backpressure, not a batch replay.
 //
-//   push_datagram ─▶ [decode + normalize] ──────────┐
-//   push_packet ──▶ [metering] ──┐                  ├─▶ [detect × shards]
-//   push_flows ──────────────────┴─▶ [normalize] ───┤
-//   push_observations ──────────────────────────────┘
+//   push_datagram ─▶ [header pass] ─▶ [bodies × W] ──┐
+//   push_packet ──▶ [metering] ──┐                   ├─▶ [detect × shards]
+//   push_flows ──────────────────┴─▶ [normalize] ────┤
+//   push_observations ───────────────────────────────┘
 //
-// Each bracketed stage is one worker thread over a BoundedQueue (the
-// detect stage is the ShardedDetector's persistent per-shard pool); a
-// full queue blocks the producer, so overload propagates back to the
-// datagram source instead of growing memory. The decode stage speaks all
-// three wire formats (NetFlow v5/v9, IPFIX), sniffed per datagram by the
-// version word, and normalizes each datagram's rows on the same thread:
-// datagrams never cross the normalize queue, which serves push_flows and
-// the metering stage only. drain() is a topological quiescence barrier;
-// shutdown() closes intake, flushes the metering cache, and drains every
-// stage in dependency order. Per-stage depth/throughput/stall counters
-// surface as telemetry::StageStats.
+// Each bracketed stage is a worker pool over BoundedQueues (the detect
+// stage is the ShardedDetector's persistent per-shard pool); a full queue
+// blocks the producer, so overload propagates back to the datagram source
+// instead of growing memory. The intake stages start their threads on
+// their first input, so a pipeline fed only observations runs only its
+// shard workers.
 //
-// Determinism: datagrams decode and normalize in push order on one
-// thread, flow batches normalize in push order, and per-subscriber
-// observation order is preserved through the shard queues — so the final
-// evidence map is bit-for-bit identical to a synchronous replay (asserted
-// by tests/differential_test.cpp for any shard count and queue
-// capacity).
+// Datagram decode is split in two. The header pass — one thread, in push
+// order — sniffs the version word (NetFlow v9 or IPFIX) and runs the
+// collector's stateful scan: duplicates, sequence and restarts, template
+// learning, parking and recovery, malformed detection. Each wave it pops
+// becomes one body batch: the datagrams, the body jobs that point into
+// them, and a ticket. W = max(1, usable CPUs − 1) body workers
+// ([bodies × W]) take batch t at worker t mod W, execute the jobs'
+// compiled plans, normalize the rows, and hand them to the shards when
+// their ticket comes up, one enqueue per batch. Datagrams never cross the
+// normalize queue, which serves push_flows and the metering stage only.
+// drain() is a topological quiescence barrier; shutdown() closes intake,
+// flushes the metering cache, and drains every stage in dependency order.
+// Per-stage depth/throughput/stall counters surface as
+// telemetry::StageStats.
+//
+// Determinism: the header pass scans datagrams in push order, body
+// batches reach the shards in ticket (= push) order for any W, flow
+// batches normalize in push order, and per-subscriber observation order
+// is preserved through the shard queues — so the final evidence map is
+// bit-for-bit identical to a synchronous replay (asserted by
+// tests/differential_test.cpp for any shard count, queue capacity and
+// body-worker count).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -42,8 +55,8 @@
 #include "flow/flow_batch.hpp"
 #include "flow/flow_cache.hpp"
 #include "flow/ipfix.hpp"
-#include "flow/netflow_v5.hpp"
 #include "flow/netflow_v9.hpp"
+#include "flow/template_plan.hpp"
 #include "obs/observability.hpp"
 #include "pipeline/shard_pool.hpp"
 #include "serve/control.hpp"
@@ -52,6 +65,8 @@ namespace haystack::pipeline {
 
 /// Maps a decoded flow record to a direction-normalized observation;
 /// nullopt drops the flow from analysis (e.g. no server-looking side).
+/// Called concurrently from several stage threads (every body worker and
+/// the normalize stage), so it must be safe to call from many threads.
 using Normalizer = std::function<std::optional<core::Observation>(
     const flow::FlowRecord&, util::HourBin)>;
 
@@ -100,8 +115,9 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Raw export datagram (NetFlow v5/v9 or IPFIX, sniffed by version).
-  /// Blocks when the decode queue is full. False after shutdown().
+  /// Raw export datagram (NetFlow v9 or IPFIX, sniffed by version; any
+  /// other version word counts as unknown_version). Blocks when the
+  /// decode queue is full. False after shutdown().
   bool push_datagram(std::vector<std::uint8_t> bytes, util::HourBin hour);
 
   /// Router-side packet intake: metered through the FlowCache into flow
@@ -149,7 +165,8 @@ class IngestPipeline {
   /// scrape can never disagree.
   struct Stats {
     telemetry::StageStats metering;   ///< packet queue
-    telemetry::StageStats decode;     ///< datagram queue
+    telemetry::StageStats decode;     ///< datagram queue (header pass)
+    telemetry::StageStats decode_body;  ///< body-batch queues, summed
     telemetry::StageStats normalize;  ///< flow-batch queue
     telemetry::StageStats detect;     ///< all shard queues aggregated
     std::vector<telemetry::StageStats> detect_shards;
@@ -205,6 +222,15 @@ class IngestPipeline {
     util::HourBin hour = 0;
     std::vector<std::uint8_t> bytes;
   };
+  /// Body-stage item: one header-pass wave. The datagrams travel with the
+  /// jobs that point into them; job_ends[i] is the index past datagram
+  /// i's last job.
+  struct BodyBatch {
+    std::uint64_t ticket = 0;
+    std::vector<Datagram> datagrams;
+    std::vector<std::uint32_t> job_ends;
+    std::vector<flow::plan::BodyJob> jobs;
+  };
   /// Normalize-queue item (ISSUE 6): an arena-leased SoA batch. The lease
   /// is released (batch returns to arena_'s pool) when the item is
   /// consumed, so rows never outlive a wave.
@@ -223,10 +249,12 @@ class IngestPipeline {
   };
 
   void meter_wave(std::vector<MeterItem>& wave);
+  /// The header pass: scans a wave and hands it to a body worker.
   void decode_wave(std::vector<Datagram>& wave);
+  void body_wave(unsigned worker, std::vector<BodyBatch>& wave);
   void normalize_wave(std::vector<DecodedBatch>& wave);
   void emit_metered(flow::BatchArena::Lease rows, util::HourBin hour);
-  /// Row → observation conversion, shared by the decode and normalize
+  /// Row → observation conversion, shared by the body and normalize
   /// stages: appends `rows` (all of `hour`) to `out`.
   void normalize_rows(const flow::FlowBatch& rows, util::HourBin hour,
                       NormalizedWave& out) const;
@@ -251,6 +279,7 @@ class IngestPipeline {
   };
   StageInstruments meter_obs_;
   StageInstruments decode_obs_;
+  StageInstruments body_obs_;
   StageInstruments normalize_obs_;
 
   // Wave-batch arena. Declared before every stage pool (and the scratch
@@ -267,16 +296,29 @@ class IngestPipeline {
   std::unique_ptr<serve::ControlPlane> control_;
   core::ShardedDetector detector_;
   std::unique_ptr<ShardPool<DecodedBatch>> normalize_;
+
+  // Body stage. Each worker owns the batch its jobs decode into and the
+  // wave its rows normalize to; they outlive the pool that uses them.
+  // Batches commit to the shards in ticket order: a worker holding ticket
+  // t waits until next_commit_ == t.
+  struct BodyWorker {
+    flow::FlowBatch rows;
+    NormalizedWave out;
+  };
+  std::vector<BodyWorker> body_workers_;
+  std::mutex commit_mu_;
+  std::condition_variable commit_cv_;
+  std::uint64_t next_commit_ = 0;  // guarded by commit_mu_
+  std::unique_ptr<ShardPool<BodyBatch>> bodies_;
+
   std::unique_ptr<ShardPool<Datagram>> decode_;
   std::unique_ptr<ShardPool<MeterItem>> metering_;
 
-  // Decode-stage state (touched only by the decode worker): codecs, the
-  // one batch every datagram decodes into, and the wave it normalizes to.
+  // Header-pass state (touched only by the decode worker): codecs and the
+  // next body batch's ticket.
   flow::nf9::Collector nf9_;
   flow::ipfix::Collector ipfix_;
-  flow::nf5::Collector nf5_;
-  flow::FlowBatch decode_rows_;
-  NormalizedWave decode_out_;
+  std::uint64_t next_ticket_ = 0;
   NormalizedWave normalize_out_;  // normalize worker only
 
   // Metering-stage state (touched only by the metering worker, except the
@@ -309,8 +351,9 @@ class IngestPipeline {
   std::shared_ptr<obs::Counter> self_check_failures_;
   std::shared_ptr<obs::Gauge> cache_depth_;
   std::shared_ptr<obs::Gauge> cache_high_water_;
-  /// ISSUE 6 series: per-wave batch-decode cost and template-recovery
-  /// snapshots (set by the decode worker, read by scrapes and stats()).
+  /// Per-batch body-decode cost (recorded by the body workers) and
+  /// template-recovery snapshots (set by the header pass), read by scrapes
+  /// and stats().
   std::shared_ptr<obs::Histogram> decode_ns_per_record_;
   std::shared_ptr<obs::Gauge> decode_recovered_;
   std::shared_ptr<obs::Gauge> decode_parked_;

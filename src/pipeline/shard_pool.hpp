@@ -8,14 +8,18 @@
 // determinism rests on.
 //
 // Lifecycle protocol:
+//   submit() the first submit spawns the workers, so a pool nothing feeds
+//            costs no threads; racing first submits spawn them once.
 //   drain()  quiescence barrier — returns once every item submitted
-//            before the call has been fully handled. Cheap when idle.
+//            before the call has been fully handled. Cheap when idle,
+//            immediate on a pool that never started.
 //   stop()   drain-then-stop — closes the queues (pending items are still
-//            consumed), joins the workers.
-//   start()  restart-after-drain — reopens the queues, respawns workers.
-// start()/stop() are owned by one controlling thread; submit()/drain()
-// may be called from any number of threads concurrently. Handlers must
-// not call drain() (a worker waiting on itself would deadlock).
+//            consumed), joins the workers. Later submits are refused.
+//   start()  starts the workers up front, or restarts them after stop()
+//            — reopens the queues, respawns workers.
+// submit()/drain()/stop()/start() may be called from any number of
+// threads. Handlers must not call drain() (a worker waiting on itself
+// would deadlock).
 #pragma once
 
 #include <atomic>
@@ -76,7 +80,6 @@ class ShardPool {
       queues_.push_back(std::make_unique<BoundedQueue<Item>>(
           config_.queue_capacity, config_.recorder, config_.stage_tag));
     }
-    start();
   }
 
   ~ShardPool() { stop(); }
@@ -87,6 +90,7 @@ class ShardPool {
   /// Blocking submit with backpressure. Returns false when the pool is
   /// stopped (the item is dropped).
   bool submit(unsigned shard, Item item) {
+    if (!started_.load(std::memory_order_acquire)) start_once();
     ShardState& st = state_[shard];
     st.submitted.fetch_add(1, std::memory_order_relaxed);
     if (queues_[shard]->push(std::move(item))) return true;
@@ -121,25 +125,30 @@ class ShardPool {
   }
 
   /// Drain-then-stop: pending items are still consumed before workers
-  /// exit. Idempotent.
+  /// exit. Idempotent; on a pool that never started it just closes the
+  /// queues.
   void stop() {
-    if (workers_.empty()) return;
+    std::lock_guard lock{lifecycle_mu_};
+    started_.store(true, std::memory_order_release);
     for (auto& q : queues_) q->close();
     for (auto& w : workers_) w.join();
     workers_.clear();
   }
 
-  /// Restart after stop(). Idempotent while running.
+  /// Starts the workers, or restarts them after stop(). Idempotent while
+  /// running.
   void start() {
+    std::lock_guard lock{lifecycle_mu_};
+    started_.store(true, std::memory_order_release);
     if (!workers_.empty()) return;
     for (auto& q : queues_) q->reopen();
-    workers_.reserve(config_.shards);
-    for (unsigned s = 0; s < config_.shards; ++s) {
-      workers_.emplace_back([this, s] { run(s); });
-    }
+    spawn_workers();
   }
 
-  [[nodiscard]] bool running() const noexcept { return !workers_.empty(); }
+  [[nodiscard]] bool running() const {
+    std::lock_guard lock{lifecycle_mu_};
+    return !workers_.empty();
+  }
   [[nodiscard]] unsigned shards() const noexcept { return config_.shards; }
 
   [[nodiscard]] telemetry::StageStats stats(unsigned shard) const {
@@ -157,6 +166,22 @@ class ShardPool {
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> completed{0};
   };
+
+  /// First-submit start: spawns the workers unless start() or stop()
+  /// already ran (a stopped pool stays stopped until start()).
+  void start_once() {
+    std::lock_guard lock{lifecycle_mu_};
+    if (started_.load(std::memory_order_relaxed)) return;
+    spawn_workers();
+    started_.store(true, std::memory_order_release);
+  }
+
+  void spawn_workers() {
+    workers_.reserve(config_.shards);
+    for (unsigned s = 0; s < config_.shards; ++s) {
+      workers_.emplace_back([this, s] { run(s); });
+    }
+  }
 
   void run(unsigned shard) {
     obs::Histogram* wave_ns = shard < config_.wave_ns_by_shard.size() &&
@@ -200,6 +225,10 @@ class ShardPool {
   Handler handler_;
   std::unique_ptr<ShardState[]> state_;
   std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
+  /// Guards workers_; started_ turns true once start(), stop() or the
+  /// first submit has run, so submit() checks it without the lock.
+  mutable std::mutex lifecycle_mu_;
+  std::atomic<bool> started_{false};
   std::vector<std::thread> workers_;
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;

@@ -1,7 +1,5 @@
 #include "simnet/wild_isp.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
@@ -10,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/cpus.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -37,16 +36,6 @@ std::uint64_t sampled_count(util::Pcg32& rng, double lambda) {
     return rng.chance(lambda * (1.0 - 0.5 * lambda)) ? 1 : 0;
   }
   return rng.poisson(lambda);
-}
-
-/// CPUs this process may run on (its affinity mask), so a run pinned with
-/// `taskset -c 0` counts one CPU even though the machine has more.
-unsigned usable_cpus() {
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    return static_cast<unsigned>(CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Runs fill(b, buffer) for blocks b = 0 .. count − 1 on `workers` threads
@@ -272,7 +261,7 @@ void WildIspSim::line_observations(const Hour& h, const LineId line,
 
 void WildIspSim::hour_observations(util::HourBin hour,
                                    const Sink& sink) const {
-  hour_observations(hour, sink, usable_cpus() - 1);
+  hour_observations(hour, sink, util::usable_cpus() - 1);
 }
 
 void WildIspSim::hour_observations(util::HourBin hour, const Sink& sink,

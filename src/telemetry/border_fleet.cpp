@@ -11,12 +11,10 @@ namespace {
 
 constexpr std::uint32_t kSourceIdBase = 100;
 
-flow::nf9::ExporterConfig exporter_config(const BorderFleetConfig& config,
-                                          unsigned router,
+flow::nf9::ExporterConfig exporter_config(unsigned router,
                                           std::uint32_t boot_unix_secs) {
   return {
       .source_id = kSourceIdBase + router,
-      .sampling = config.sampling,
       .max_records_per_packet = 24,
       .template_refresh_packets = 16,
       .boot_unix_secs = boot_unix_secs,
@@ -43,7 +41,7 @@ BorderRouterFleet::BorderRouterFleet(const BorderFleetConfig& config)
   }
   exporters_.reserve(config.routers);
   for (unsigned r = 0; r < config.routers; ++r) {
-    exporters_.emplace_back(exporter_config(config, r, 0));
+    exporters_.emplace_back(exporter_config(r, 0));
     if (config.impairment) {
       flow::ImpairmentConfig link = *config.impairment;
       link.seed = util::splitmix64(link.seed ^ (0x9e3779b97f4a7c15ULL * r));
@@ -78,8 +76,7 @@ void BorderRouterFleet::maybe_restart(util::HourBin hour,
   if (config_.restart_router && *config_.restart_router < exporters_.size() &&
       hour == config_.restart_hour && restarts_performed_ == 0) {
     const unsigned r = *config_.restart_router;
-    exporters_[r] =
-        flow::nf9::Exporter{exporter_config(config_, r, unix_secs)};
+    exporters_[r] = flow::nf9::Exporter{exporter_config(r, unix_secs)};
     ++restarts_performed_;
     if (restarts_metric_) restarts_metric_->add(1);
     if (config_.obs != nullptr) {

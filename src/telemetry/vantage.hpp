@@ -40,7 +40,7 @@ class IspVantage {
 
   explicit IspVantage(const Config& config)
       : config_{config},
-        exporter_{{.source_id = 7, .sampling = config.sampling,
+        exporter_{{.source_id = 7,
                    .max_records_per_packet = 24,
                    .template_refresh_packets = 16}} {}
 
@@ -73,7 +73,7 @@ class IxpVantage {
 
   explicit IxpVantage(const Config& config)
       : config_{config},
-        exporter_{{.observation_domain = 42, .sampling = config.sampling,
+        exporter_{{.observation_domain = 42,
                    .max_records_per_message = 24,
                    .template_refresh_messages = 16}} {}
 

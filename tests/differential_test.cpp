@@ -30,13 +30,17 @@
 #include <tuple>
 #include <vector>
 
+#include <sched.h>
+
 #include "core/checkpoint.hpp"
 #include "core/reference_detector.hpp"
 #include "core/sharded_detector.hpp"
 #include "flow/impairment.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v9.hpp"
+#include "flow/wire.hpp"
 #include "pipeline/ingest.hpp"
+#include "util/cpus.hpp"
 #include "util/rng.hpp"
 
 namespace haystack::core {
@@ -439,10 +443,13 @@ TEST(DifferentialTsanWorkload, RepeatedBatchesStayDeterministic) {
 // fast-normalize → interned shard workers — must equal a seed-era
 // record-at-a-time reference (Collector::ingest + default_normalizer +
 // flat Detector::observe) bit for bit, for both stateful codecs, across
-// shard counts and deterministic fault-matrix impairments. Template loss
-// (dropped/reordered template flowsets) must park-and-recover identically
-// under compiled-template plans, pinned by comparing recovered-record
-// counts between the two decode paths.
+// shard counts, queue capacities, body-worker counts and deterministic
+// fault-matrix impairments. Template loss (dropped/reordered template
+// flowsets) must park-and-recover identically under compiled-template
+// plans, pinned by comparing recovered-record counts between the two
+// decode paths. A template redefined every few datagrams pins that each
+// body decodes under the plan its datagram was scanned with, although the
+// body workers execute it after later datagrams have been scanned.
 
 enum class WireCodec { kNetflowV9, kIpfix };
 
@@ -452,7 +459,87 @@ struct WireImpairment {
   /// Template refresh cadence (packets); small values re-announce
   /// templates often enough for park-and-recover to fire under loss.
   std::uint32_t template_refresh = 20;
+  /// When non-zero, every Nth chunk travels in a hand-written datagram
+  /// that redefines the IPv4 template with a 4-byte packet counter
+  /// instead of 8, followed by one that restores the exporter's layout.
+  std::size_t layout_every = 0;
 };
+
+/// A datagram that announces the IPv4 template (v9 256 / IPFIX 300) with
+/// a `packets_len`-byte packet counter and carries `records` (IPv4) under
+/// it; with no records it is a template-only announcement. The header
+/// continues the exporter's stream: same source, current sequence, and
+/// the uptime of an exporter booted at Unix time 0.
+std::vector<std::uint8_t> layout_datagram(
+    WireCodec codec, std::uint16_t packets_len,
+    std::span<const flow::FlowRecord> records, std::uint32_t sequence,
+    std::uint32_t unix_secs) {
+  const bool v9 = codec == WireCodec::kNetflowV9;
+  const std::uint16_t start_id = v9 ? 22 : 152;  // FIRST_SWITCHED / IE 152
+  const std::uint16_t end_id = v9 ? 21 : 153;
+  const std::uint16_t time_len = v9 ? 4 : 8;
+  // (field id, length): the exporters' IPv4 layout but for IN_PKTS.
+  const std::uint16_t fields[][2] = {
+      {8, 4},          {12, 4}, {7, 2},  {11, 2},
+      {4, 1},          {6, 1},  {2, packets_len},
+      {1, 8},          {start_id, time_len},
+      {end_id, time_len},       {34, 4}};
+  const std::uint16_t template_id =
+      v9 ? flow::nf9::kTemplateV4 : flow::ipfix::kTemplateV4;
+  flow::ByteWriter w;
+  w.u16(v9 ? 9 : 10);
+  if (v9) {
+    w.u16(records.empty() ? 1 : 2);  // flowsets
+    w.u32(unix_secs * 1000U);        // sysUptime
+    w.u32(unix_secs);
+  } else {
+    w.u16(0);  // total length, patched below
+    w.u32(unix_secs);
+  }
+  w.u32(sequence);
+  w.u32(7);  // source id / observation domain
+  w.u16(v9 ? 0 : flow::ipfix::kTemplateSetId);
+  w.u16(static_cast<std::uint16_t>(8 + 4 * std::size(fields)));
+  w.u16(template_id);
+  w.u16(static_cast<std::uint16_t>(std::size(fields)));
+  for (const auto& f : fields) {
+    w.u16(f[0]);
+    w.u16(f[1]);
+  }
+  if (!records.empty()) {
+    const std::size_t length_offset = w.size() + 2;
+    w.u16(template_id);
+    w.u16(0);  // length placeholder
+    for (const flow::FlowRecord& rec : records) {
+      w.u32(rec.key.src.v4_value());
+      w.u32(rec.key.dst.v4_value());
+      w.u16(rec.key.src_port);
+      w.u16(rec.key.dst_port);
+      w.u8(rec.key.proto);
+      w.u8(rec.tcp_flags);
+      if (packets_len == 8) {
+        w.u64(rec.packets);
+      } else {
+        w.u32(static_cast<std::uint32_t>(rec.packets));
+      }
+      w.u64(rec.bytes);
+      if (v9) {
+        w.u32(static_cast<std::uint32_t>(rec.start_ms));
+        w.u32(static_cast<std::uint32_t>(rec.end_ms));
+      } else {
+        w.u64(rec.start_ms);
+        w.u64(rec.end_ms);
+      }
+      w.u32(rec.sampling);
+    }
+    const std::size_t unpadded = w.size() - (length_offset - 2);
+    w.pad((4 - unpadded % 4) % 4);
+    w.patch_u16(length_offset,
+                static_cast<std::uint16_t>(w.size() - (length_offset - 2)));
+  }
+  if (!v9) w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  return w.take();
+}
 
 /// One datagram with the hour it was delivered at. Reordered datagrams
 /// inherit the delivery hour of the transmit() call that released them —
@@ -471,14 +558,13 @@ std::vector<WireDatagram> make_wire_stream(const Scenario& sc,
                                            const WireImpairment& imp) {
   constexpr std::size_t kRecordsPerChunk = 18;
   flow::nf9::Exporter nf9{
-      {.source_id = 7, .sampling = 1,
-       .template_refresh_packets = imp.template_refresh}};
-  flow::ipfix::Exporter ipfix{{.observation_domain = 7, .sampling = 1}};
+      {.source_id = 7, .template_refresh_packets = imp.template_refresh}};
+  flow::ipfix::Exporter ipfix{{.observation_domain = 7}};
   flow::ImpairedLink link{imp.link};
 
   std::vector<WireDatagram> out;
   std::span<const Observation> rest{sc.stream};
-  while (!rest.empty()) {
+  for (std::size_t chunk = 0; !rest.empty(); ++chunk) {
     const std::size_t n = std::min(kRecordsPerChunk, rest.size());
     const util::HourBin hour = rest.front().hour;
     std::vector<flow::FlowRecord> records;
@@ -501,10 +587,20 @@ std::vector<WireDatagram> make_wire_stream(const Scenario& sc,
     }
     rest = rest.subspan(n);
 
-    const auto packets =
-        codec == WireCodec::kNetflowV9
-            ? nf9.export_flows(records, 1'600'000'000U + hour * 3600U)
-            : ipfix.export_flows(records, 1'600'000'000U + hour * 3600U);
+    const std::uint32_t unix_secs = 1'600'000'000U + hour * 3600U;
+    std::vector<std::vector<std::uint8_t>> packets;
+    if (imp.layout_every != 0 && chunk % imp.layout_every == 0) {
+      const std::uint32_t sequence = codec == WireCodec::kNetflowV9
+                                         ? nf9.packets_sent()
+                                         : ipfix.records_sent();
+      packets.push_back(
+          layout_datagram(codec, 4, records, sequence, unix_secs));
+      packets.push_back(layout_datagram(codec, 8, {}, sequence, unix_secs));
+    } else {
+      packets = codec == WireCodec::kNetflowV9
+                    ? nf9.export_flows(records, unix_secs)
+                    : ipfix.export_flows(records, unix_secs);
+    }
     for (auto& packet : packets) {
       for (auto& delivered : link.transmit(std::move(packet))) {
         out.push_back({hour, std::move(delivered)});
@@ -562,6 +658,37 @@ WireReference run_wire_reference(const Scenario& sc, WireCodec codec,
   return ref;
 }
 
+/// Constructs a pipeline while the calling thread's CPU affinity is
+/// narrowed to its first `cpus` usable CPUs (0 = unchanged), then restores
+/// the affinity. The pipeline sizes its body stage from util::usable_cpus(),
+/// which reads that affinity; its threads start on the first push, after
+/// the restore.
+std::unique_ptr<pipeline::IngestPipeline> make_pipeline_on(
+    unsigned cpus, const Scenario& sc, const pipeline::IngestConfig& cfg) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  const bool narrow =
+      cpus != 0 && sched_getaffinity(0, sizeof saved, &saved) == 0;
+  if (narrow) {
+    cpu_set_t subset;
+    CPU_ZERO(&subset);
+    unsigned taken = 0;
+    for (int c = 0; c < CPU_SETSIZE && taken < cpus; ++c) {
+      if (CPU_ISSET(c, &saved)) {
+        CPU_SET(c, &subset);
+        ++taken;
+      }
+    }
+    EXPECT_EQ(sched_setaffinity(0, sizeof subset, &subset), 0);
+  }
+  auto pipe = std::make_unique<pipeline::IngestPipeline>(sc.rules.hitlist,
+                                                         sc.rules, cfg);
+  if (narrow) {
+    EXPECT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  }
+  return pipe;
+}
+
 TEST_P(DifferentialTest, WireStreamMatchesRecordAtATimeReference) {
   const Scenario sc = make_scenario(GetParam());
 
@@ -576,8 +703,18 @@ TEST_P(DifferentialTest, WireStreamMatchesRecordAtATimeReference) {
       {.name = "dup_reorder",
        .link = {.seed = 3, .duplicate = 0.25, .reorder = 0.25,
                 .reorder_hold = 3}},
+      {.name = "layout_change", .link = {.seed = 4}, .layout_every = 4},
   };
   const WireCodec codecs[] = {WireCodec::kNetflowV9, WireCodec::kIpfix};
+
+  // Body-worker counts 1, 2 and the default (usable CPUs − 1), each chosen
+  // by the CPU budget the pipeline is constructed under (0 = unchanged).
+  const unsigned usable = util::usable_cpus();
+  std::vector<unsigned> cpu_budgets{0};
+  for (const unsigned workers : {1u, 2u}) {
+    if (workers + 1 < usable) cpu_budgets.push_back(workers + 1);
+  }
+  const std::size_t default_capacity = pipeline::IngestConfig{}.queue_capacity;
 
   for (const auto codec : codecs) {
     for (const auto& imp : impairments) {
@@ -586,29 +723,46 @@ TEST_P(DifferentialTest, WireStreamMatchesRecordAtATimeReference) {
       const auto ref = run_wire_reference(sc, codec, stream, key);
 
       for (const unsigned shards : {1u, 4u, 16u}) {
-        pipeline::IngestConfig cfg;
-        cfg.shards = shards;
-        cfg.detector = sc.config;
-        cfg.anonymization_key = key;
-        pipeline::IngestPipeline pipe{sc.rules.hitlist, sc.rules, cfg};
-        for (const auto& datagram : stream) {
-          auto copy = datagram.bytes;
-          ASSERT_TRUE(pipe.push_datagram(std::move(copy), datagram.hour));
-        }
-        pipe.drain();
+        for (const std::size_t capacity : {default_capacity, std::size_t{1}}) {
+          for (const unsigned budget : cpu_budgets) {
+            pipeline::IngestConfig cfg;
+            cfg.shards = shards;
+            cfg.queue_capacity = capacity;
+            cfg.detector = sc.config;
+            cfg.anonymization_key = key;
+            const auto pipe = make_pipeline_on(budget, sc, cfg);
+            for (const auto& datagram : stream) {
+              auto copy = datagram.bytes;
+              ASSERT_TRUE(pipe->push_datagram(std::move(copy), datagram.hour));
+            }
+            pipe->drain();
 
-        const auto st = pipe.stats();
-        const auto label = std::string{imp.name} + " codec=" +
-                           (codec == WireCodec::kNetflowV9 ? "v9" : "ipfix") +
-                           " shards=" + std::to_string(shards);
-        EXPECT_EQ(snapshot(pipe.detector()), ref.rows) << label;
-        EXPECT_EQ(pipe.detector().stats().flows, ref.flows) << label;
-        EXPECT_EQ(st.malformed_datagrams, ref.malformed) << label;
-        // Park-and-recover must behave identically under compiled plans.
-        EXPECT_EQ(st.decode_recovered_records, ref.recovered_records)
-            << label;
-        const auto check = pipe.self_check();
-        EXPECT_TRUE(check.ok) << label << ": " << check.detail;
+            const auto st = pipe->stats();
+            const unsigned workers =
+                std::max(1u, (budget == 0 ? usable : budget) - 1);
+            const auto label =
+                std::string{imp.name} + " codec=" +
+                (codec == WireCodec::kNetflowV9 ? "v9" : "ipfix") +
+                " shards=" + std::to_string(shards) +
+                " capacity=" + std::to_string(capacity) +
+                " body_workers=" + std::to_string(workers);
+            // One body queue per worker, each bounded to the batches the
+            // decode queue's datagrams can form.
+            EXPECT_EQ(st.decode_body.capacity,
+                      workers * std::max<std::size_t>(
+                                    1, capacity / cfg.max_wave))
+                << label;
+            EXPECT_EQ(snapshot(pipe->detector()), ref.rows) << label;
+            EXPECT_EQ(pipe->detector().stats().flows, ref.flows) << label;
+            EXPECT_EQ(st.malformed_datagrams, ref.malformed) << label;
+            // Park-and-recover must behave identically under compiled
+            // plans.
+            EXPECT_EQ(st.decode_recovered_records, ref.recovered_records)
+                << label;
+            const auto check = pipe->self_check();
+            EXPECT_TRUE(check.ok) << label << ": " << check.detail;
+          }
+        }
       }
     }
   }

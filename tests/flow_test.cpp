@@ -10,7 +10,6 @@
 #include "flow/flow_cache.hpp"
 #include "flow/gap_tracker.hpp"
 #include "flow/ipfix.hpp"
-#include "flow/netflow_v5.hpp"
 #include "flow/netflow_v9.hpp"
 #include "flow/options.hpp"
 #include "flow/sampler.hpp"
@@ -82,7 +81,7 @@ TEST(WireTest, PatchU16) {
 }
 
 TEST(NetFlowV9Test, RoundtripMixedFamilies) {
-  nf9::Exporter exporter{{.source_id = 3, .sampling = 1000}};
+  nf9::Exporter exporter{{.source_id = 3}};
   nf9::Collector collector;
   std::vector<FlowRecord> input;
   for (std::uint32_t i = 0; i < 50; ++i) {
@@ -267,7 +266,7 @@ TEST(NetFlowV9Test, EmptyInputStillEmitsTemplatePacket) {
 }
 
 TEST(IpfixTest, RoundtripMixedFamilies) {
-  ipfix::Exporter exporter{{.observation_domain = 9, .sampling = 10000}};
+  ipfix::Exporter exporter{{.observation_domain = 9}};
   ipfix::Collector collector;
   std::vector<FlowRecord> input;
   for (std::uint32_t i = 0; i < 60; ++i) {
@@ -417,9 +416,9 @@ TEST(IpfixTest, TemplateFieldCountExceedingBodyRejected) {
   EXPECT_EQ(collector.stats().malformed_messages, 1u);
 }
 
-// The shared sequence tracker behind the v5/v9/IPFIX collectors: 32-bit
+// The shared sequence tracker behind the v9/IPFIX collectors: 32-bit
 // wraparound arithmetic, gap/replay/restart classification, multi-unit
-// commits (IPFIX counts records, v5 counts flows, v9 counts packets).
+// commits (IPFIX counts records, v9 counts packets).
 TEST(GapTrackerTest, InOrderAndGapCounting) {
   SequenceTracker t{64};
   auto o = t.classify(100);
@@ -471,7 +470,7 @@ TEST(GapTrackerTest, WraparoundIsSeamless) {
 }
 
 TEST(GapTrackerTest, MultiUnitWraparound) {
-  // v5-style: sequence counts flows, packets carry up to 30 each.
+  // IPFIX-style: sequence counts records, messages carry up to 30 each.
   SequenceTracker t{256};
   auto o = t.classify(0xfffffff0U);
   t.commit(0xfffffff0U, 30, o);  // next expected: 0xe mod 2^32
@@ -659,26 +658,6 @@ TEST(NetFlowV9Test, UptimeRegressionDetectsRestartInsideReorderWindow) {
     EXPECT_TRUE(collector.ingest(p, out));
   }
   EXPECT_EQ(collector.stats().exporter_restarts, 1u);
-}
-
-TEST(NetFlowV5Test, SequenceRestartDetected) {
-  nf5::Exporter first{{}};
-  std::vector<FlowRecord> input;
-  for (std::uint32_t i = 0; i < 40; ++i) input.push_back(make_record(i));
-  nf5::Collector collector;
-  std::vector<FlowRecord> out;
-  // Push the flow sequence far past the v5 reorder window (256 flows).
-  for (int round = 0; round < 10; ++round) {
-    for (const auto& p : first.export_flows(input, 1574000000 + round)) {
-      EXPECT_TRUE(collector.ingest(p, out));
-    }
-  }
-  nf5::Exporter second{{}};  // fresh process: sequence restarts at 0
-  for (const auto& p : second.export_flows(input, 1574001000)) {
-    EXPECT_TRUE(collector.ingest(p, out));
-  }
-  EXPECT_EQ(collector.stats().exporter_restarts, 1u);
-  EXPECT_EQ(collector.health().restarts, 1u);
 }
 
 TEST(OptionsTest, ZeroSamplingIntervalClampedAndCounted) {

@@ -10,12 +10,21 @@
 // on, where the same message fed again straight away is exactly one
 // suppressed duplicate; decoded record count stays bounded by message
 // size; rejections are accounted in malformed_messages; the collector
-// keeps decoding pristine traffic afterwards.
+// keeps decoding pristine traffic afterwards. A deferred-execution
+// collector scans all of an iteration's messages — the input, a restart
+// of its domain that re-announces template 300 with another layout,
+// pristine traffic — before executing any job (as the pipeline's body
+// stage may) and must yield its reference's rows and statistics; a job
+// that reads bytes the collector has since freed — a recovered parked
+// set, an entry the restart evicted, a plan the redefinition replaced —
+// shows up as an ASan report or a row mismatch.
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "flow/ipfix.hpp"
+#include "flow/template_plan.hpp"
+#include "flow/wire.hpp"
 #include "fuzz_harness.hpp"
 
 namespace {
@@ -45,11 +54,35 @@ FlowRecord sample_record(std::uint32_t salt, bool v6) {
   return rec;
 }
 
+// A message for the corpus's domain 5 whose sequence lies a quarter of the
+// number space behind anything the corpus sends — an exporter restart,
+// which erases every template of the domain — re-announcing template 300
+// with a narrower layout (4-byte packetDeltaCount).
+Bytes restart_message() {
+  constexpr std::uint16_t kFields[][2] = {{8, 4}, {12, 4}, {11, 2}, {2, 4}};
+  ByteWriter w;
+  w.u16(10);
+  w.u16(0);  // total length, patched below
+  w.u32(1574000000);
+  w.u32(0xC0000000U);  // sequence
+  w.u32(5);            // observation domain
+  w.u16(ipfix::kTemplateSetId);
+  w.u16(static_cast<std::uint16_t>(8 + 4 * std::size(kFields)));
+  w.u16(ipfix::kTemplateV4);
+  w.u16(static_cast<std::uint16_t>(std::size(kFields)));
+  for (const auto& f : kFields) {
+    w.u16(f[0]);
+    w.u16(f[1]);
+  }
+  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  return w.take();
+}
+
 std::vector<Bytes> build_corpus() {
   std::vector<Bytes> corpus;
   for (const std::size_t n : {std::size_t{1}, std::size_t{9},
                               std::size_t{50}}) {
-    ipfix::Exporter exporter{{.observation_domain = 5, .sampling = 10000,
+    ipfix::Exporter exporter{{.observation_domain = 5,
                               .max_records_per_message = 20,
                               .template_refresh_messages = 1}};
     std::vector<FlowRecord> records;
@@ -211,7 +244,8 @@ bool check(std::span<const std::uint8_t> input) {
   std::vector<FlowRecord> ignored;
   FlowBatch decoded_batch;
   FlowBatch ignored_batch;
-  for (const auto& message : exporter.export_flows(records, 1574000000)) {
+  const auto pristine = exporter.export_flows(records, 1574000000);
+  for (const auto& message : pristine) {
     (void)persistent.ingest(message, ignored);
     (void)persistent_batch.ingest_batch(message, ignored_batch);
     if (!pristine_only.ingest(message, decoded)) return false;
@@ -223,7 +257,42 @@ bool check(std::span<const std::uint8_t> input) {
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     if (decoded_batch.record(i) != decoded[i]) return false;
   }
-  return decoded.size() == records.size();
+  if (decoded.size() != records.size()) return false;
+
+  // Deferred execution, stateful across iterations like `persistent`:
+  // every scan of the iteration first, then every job. The messages stay
+  // alive throughout, as they travel with their jobs in the pipeline.
+  static ipfix::Collector deferred_ref;
+  static ipfix::Collector deferred;
+  std::vector<Bytes> iteration{Bytes(input.begin(), input.end()),
+                               restart_message()};
+  iteration.insert(iteration.end(), pristine.begin(), pristine.end());
+  std::vector<FlowRecord> want_rows;
+  std::vector<plan::BodyJob> jobs;
+  for (const Bytes& message : iteration) {
+    if (deferred.scan(message, jobs) !=
+        deferred_ref.ingest(message, want_rows)) {
+      return false;
+    }
+  }
+  FlowBatch deferred_rows;
+  for (const plan::BodyJob& job : jobs) plan::execute(job, deferred_rows);
+  if (deferred_rows.size() != want_rows.size()) return false;
+  for (std::size_t i = 0; i < want_rows.size(); ++i) {
+    if (deferred_rows.record(i) != want_rows[i]) return false;
+  }
+  const ipfix::CollectorStats& want = deferred_ref.stats();
+  const ipfix::CollectorStats& got = deferred.stats();
+  return got.messages == want.messages && got.records == want.records &&
+         got.malformed_messages == want.malformed_messages &&
+         got.templates_learned == want.templates_learned &&
+         got.unknown_template_sets == want.unknown_template_sets &&
+         got.sequence_gaps == want.sequence_gaps &&
+         got.estimated_lost_records == want.estimated_lost_records &&
+         got.exporter_restarts == want.exporter_restarts &&
+         got.buffered_sets == want.buffered_sets &&
+         got.recovered_records == want.recovered_records &&
+         got.evicted_sets == want.evicted_sets;
 }
 
 }  // namespace

@@ -13,12 +13,22 @@
 //     consumes at least one body byte);
 //   - a malformed verdict increments the malformed_packets counter;
 //   - the collector remains usable afterwards: a pristine template+data
-//     packet still decodes to the expected records.
+//     packet still decodes to the expected records;
+//   - deferred execution: a collector that scans all of an iteration's
+//     datagrams — the input, a restart of its source that re-announces
+//     template 256 with another layout, pristine traffic — before
+//     executing any job (as the pipeline's body stage may) yields its
+//     reference's rows and statistics. A job that reads bytes the
+//     collector has since freed — a recovered parked body, an entry the
+//     restart evicted, a plan the redefinition replaced — shows up as an
+//     ASan report or a row mismatch.
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "flow/netflow_v9.hpp"
+#include "flow/template_plan.hpp"
+#include "flow/wire.hpp"
 #include "fuzz_harness.hpp"
 
 namespace {
@@ -48,11 +58,34 @@ FlowRecord sample_record(std::uint32_t salt, bool v6) {
   return rec;
 }
 
+// A packet from the corpus's source 7 whose sysUptime has regressed to
+// zero — an exporter restart, which erases every template of the source —
+// re-announcing template 256 with a narrower layout (4-byte IN_PKTS).
+Bytes restart_packet() {
+  constexpr std::uint16_t kFields[][2] = {{8, 4}, {12, 4}, {11, 2}, {2, 4}};
+  ByteWriter w;
+  w.u16(9);
+  w.u16(1);  // flowsets
+  w.u32(0);  // sysUptime: the exporter just booted
+  w.u32(1574000000);
+  w.u32(0);  // sequence
+  w.u32(7);  // source id
+  w.u16(0);  // template flowset
+  w.u16(static_cast<std::uint16_t>(8 + 4 * std::size(kFields)));
+  w.u16(nf9::kTemplateV4);
+  w.u16(static_cast<std::uint16_t>(std::size(kFields)));
+  for (const auto& f : kFields) {
+    w.u16(f[0]);
+    w.u16(f[1]);
+  }
+  return w.take();
+}
+
 std::vector<Bytes> build_corpus() {
   std::vector<Bytes> corpus;
   for (const std::size_t n : {std::size_t{1}, std::size_t{7},
                               std::size_t{40}}) {
-    nf9::Exporter exporter{{.source_id = 7, .sampling = 1000,
+    nf9::Exporter exporter{{.source_id = 7,
                             .max_records_per_packet = 24,
                             .template_refresh_packets = 1}};
     std::vector<FlowRecord> records;
@@ -204,12 +237,47 @@ bool check(std::span<const std::uint8_t> input) {
                                   sample_record(4, true)};
   std::vector<FlowRecord> decoded;
   FlowBatch decoded_batch;
-  for (const auto& packet : exporter.export_flows(records, 1574000000)) {
+  const auto pristine = exporter.export_flows(records, 1574000000);
+  for (const auto& packet : pristine) {
     if (!persistent.ingest(packet, decoded)) return false;
     if (!persistent_batch.ingest_batch(packet, decoded_batch)) return false;
   }
   if (decoded_batch.size() != decoded.size()) return false;
-  return decoded.size() == records.size();
+  if (decoded.size() != records.size()) return false;
+
+  // Deferred execution, stateful across iterations like `persistent`:
+  // every scan of the iteration first, then every job. The datagrams stay
+  // alive throughout, as they travel with their jobs in the pipeline.
+  static nf9::Collector deferred_ref;
+  static nf9::Collector deferred;
+  std::vector<Bytes> iteration{Bytes(input.begin(), input.end()),
+                               restart_packet()};
+  iteration.insert(iteration.end(), pristine.begin(), pristine.end());
+  std::vector<FlowRecord> want_rows;
+  std::vector<plan::BodyJob> jobs;
+  for (const Bytes& datagram : iteration) {
+    if (deferred.scan(datagram, jobs) !=
+        deferred_ref.ingest(datagram, want_rows)) {
+      return false;
+    }
+  }
+  FlowBatch deferred_rows;
+  for (const plan::BodyJob& job : jobs) plan::execute(job, deferred_rows);
+  if (deferred_rows.size() != want_rows.size()) return false;
+  for (std::size_t i = 0; i < want_rows.size(); ++i) {
+    if (deferred_rows.record(i) != want_rows[i]) return false;
+  }
+  const nf9::CollectorStats& want = deferred_ref.stats();
+  const nf9::CollectorStats& got = deferred.stats();
+  return got.packets == want.packets && got.records == want.records &&
+         got.malformed_packets == want.malformed_packets &&
+         got.templates_learned == want.templates_learned &&
+         got.unknown_template_flowsets == want.unknown_template_flowsets &&
+         got.sequence_gaps == want.sequence_gaps &&
+         got.exporter_restarts == want.exporter_restarts &&
+         got.buffered_flowsets == want.buffered_flowsets &&
+         got.recovered_records == want.recovered_records &&
+         got.evicted_flowsets == want.evicted_flowsets;
 }
 
 }  // namespace

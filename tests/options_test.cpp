@@ -109,7 +109,7 @@ TEST(IpfixOptionsTest, ReannouncementUpdatesAndDomainsIndependent) {
 }
 
 TEST(IpfixOptionsTest, OptionsInterleaveWithFlowData) {
-  Exporter exporter{{.observation_domain = 9, .sampling = 10000}};
+  Exporter exporter{{.observation_domain = 9}};
   Collector collector;
   std::vector<FlowRecord> out;
   // Announce, then export flows, then re-announce.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/detector.hpp"
+#include "flow/wire.hpp"
 #include "pipeline/ingest.hpp"
 #include "simnet/backend.hpp"
 #include "simnet/ground_truth.hpp"
@@ -226,6 +227,56 @@ TEST_F(PipelineTest, StreamingDatagramPathMatchesSynchronousCollector) {
   EXPECT_EQ(stats.observations, stats.flows_decoded);
   EXPECT_EQ(pipe.detector().stats().flows, sync_det.stats().flows);
   EXPECT_EQ(evidence_snapshot(pipe.detector()), evidence_snapshot(sync_det));
+}
+
+TEST_F(PipelineTest, Version5DatagramCountsAsUnknownVersion) {
+  // NetFlow v5 intake is gone: no exporter in the system writes it. A
+  // well-formed v5 datagram (24-byte header, one 48-byte record) is an
+  // unknown version word — counted, decoded to nothing — and the
+  // conservation self-check still holds.
+  flow::ByteWriter w;
+  w.u16(5);           // version
+  w.u16(1);           // record count
+  w.u32(3'600'000);   // sysUptime
+  w.u32(1574000000);  // unix secs
+  w.u32(0);           // unix nsecs
+  w.u32(0);           // flow sequence
+  w.u8(0);            // engine type
+  w.u8(1);            // engine id
+  w.u16(0);           // sampling
+  w.u32(0x0a000001);  // src
+  w.u32(0x34000001);  // dst
+  w.u32(0);           // next hop
+  w.u16(0);           // input interface
+  w.u16(0);           // output interface
+  w.u32(3);           // packets
+  w.u32(180);         // bytes
+  w.u32(3'500'000);   // first
+  w.u32(3'599'000);   // last
+  w.u16(51000);       // src port
+  w.u16(443);         // dst port
+  w.u8(0);            // pad
+  w.u8(0x1b);         // tcp flags
+  w.u8(6);            // protocol
+  w.u8(0);            // tos
+  w.u16(0);           // src as
+  w.u16(0);           // dst as
+  w.u8(0);            // src mask
+  w.u8(0);            // dst mask
+  w.u16(0);           // pad
+  ASSERT_EQ(w.size(), 24u + 48u);
+
+  pipeline::IngestPipeline pipe{rules_->hitlist, *rules_,
+                                pipeline::IngestConfig{}};
+  ASSERT_TRUE(pipe.push_datagram(w.take(), /*hour=*/1));
+  const auto check = pipe.self_check();
+  EXPECT_TRUE(check.ok) << check.detail;
+  const auto stats = pipe.stats();
+  EXPECT_EQ(stats.datagrams, 1u);
+  EXPECT_EQ(stats.unknown_version, 1u);
+  EXPECT_EQ(stats.malformed_datagrams, 0u);
+  EXPECT_EQ(stats.flows_decoded, 0u);
+  EXPECT_EQ(stats.observations, 0u);
 }
 
 TEST_F(PipelineTest, MeteringStageEnforcesCacheBound) {

@@ -10,7 +10,6 @@
 #include "pipeline/bounded_queue.hpp"
 #include "dns/fqdn.hpp"
 #include "flow/ipfix.hpp"
-#include "flow/netflow_v5.hpp"
 #include "flow/netflow_v9.hpp"
 #include "flow/sampler.hpp"
 #include "net/prefix_trie.hpp"
@@ -87,29 +86,6 @@ TEST_P(CodecRoundtrip, IpfixLossless) {
   std::sort(output.begin(), output.end());
   EXPECT_EQ(input, output);
   EXPECT_EQ(collector.stats().sequence_gaps, 0u);
-}
-
-TEST_P(CodecRoundtrip, NetflowV5LosslessForV4) {
-  auto input = make_records(GetParam());
-  flow::nf5::Exporter exporter{{.engine_id = 1, .sampling = 1000}};
-  flow::nf5::Collector collector;
-  std::vector<flow::FlowRecord> output;
-  for (const auto& p : exporter.export_flows(input, 1)) {
-    ASSERT_TRUE(collector.ingest(p, output));
-  }
-  std::vector<flow::FlowRecord> v4_only;
-  for (auto r : input) {
-    if (!r.key.src.is_v4()) continue;
-    // v5 carries 32-bit counters/timestamps.
-    r.packets &= 0xffffffffULL;
-    r.bytes &= 0xffffffffULL;
-    r.start_ms &= 0xffffffffULL;
-    r.end_ms &= 0xffffffffULL;
-    v4_only.push_back(r);
-  }
-  std::sort(v4_only.begin(), v4_only.end());
-  std::sort(output.begin(), output.end());
-  EXPECT_EQ(v4_only, output);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,11 +10,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <latch>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "core/sharded_detector.hpp"
 #include "flow/netflow_v9.hpp"
 #include "pipeline/bounded_queue.hpp"
@@ -24,6 +28,7 @@
 #include "simnet/manual_analysis.hpp"
 #include "simnet/population.hpp"
 #include "simnet/wild_isp.hpp"
+#include "util/cpus.hpp"
 
 namespace haystack::pipeline {
 namespace {
@@ -197,7 +202,8 @@ using EvidenceRow =
                std::uint64_t, std::uint16_t, std::uint64_t, util::HourBin,
                util::HourBin>;
 
-std::vector<EvidenceRow> snapshot(const core::ShardedDetector& det) {
+template <typename DetectorT>
+std::vector<EvidenceRow> snapshot(const DetectorT& det) {
   std::vector<EvidenceRow> rows;
   det.for_each_evidence([&](core::SubscriberKey s, core::ServiceId sv,
                             const core::Evidence& ev) {
@@ -372,6 +378,286 @@ TEST_F(PipelineStressTest, TinyCapacityDatagramSoak) {
   EXPECT_GT(stats.decode.producer_stalls + stats.normalize.producer_stalls +
                 stats.detect.producer_stalls,
             0u);
+}
+
+TEST_F(PipelineStressTest, IngestOrderedCommitSurvivesDrainAndShutdown) {
+  // The body stage's ordered commit under contention: capacity-1 queues,
+  // two exporters' datagrams interleaved, drain() racing the pusher from a
+  // second thread, then shutdown() while body batches wait for their turn
+  // behind a held shard. No deadlock (a watchdog aborts the process),
+  // exact flow conservation, and evidence equal to a serial replay of
+  // every accepted datagram.
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    for (int i = 0; i < 1800 && !finished.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (!finished.load()) {
+      std::fprintf(stderr, "ordered commit deadlocked\n");
+      std::abort();
+    }
+  });
+
+  struct Wire {
+    util::HourBin hour;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Wire> wire;
+  flow::nf9::Exporter exporters[] = {flow::nf9::Exporter{{.source_id = 7}},
+                                     flow::nf9::Exporter{{.source_id = 8}}};
+  std::size_t next = 0;
+  for (std::uint32_t round = 0; round < 3200; ++round) {
+    const util::HourBin h = round / 400;
+    for (auto& exporter : exporters) {
+      std::vector<flow::FlowRecord> records;
+      for (; records.size() < 48; next = (next + 1) % batch_->size()) {
+        const auto& obs = (*batch_)[next];
+        flow::FlowRecord rec;
+        rec.key.src = net::IpAddress::v4(
+            0x0a000000u | static_cast<std::uint32_t>(obs.subscriber & 0xffffu));
+        rec.key.dst = obs.server;
+        rec.key.src_port = 40'000;
+        rec.key.dst_port = obs.port;
+        rec.packets = obs.packets;
+        rec.bytes = obs.packets * 64;
+        rec.start_ms = h * 3'600'000ULL;
+        rec.end_ms = rec.start_ms + 1000;
+        records.push_back(rec);
+      }
+      for (auto& packet :
+           exporter.export_flows(records, 1574000000U + h * 3600U)) {
+        wire.push_back({h, std::move(packet)});
+      }
+    }
+  }
+
+  IngestConfig cfg;
+  cfg.shards = 3;
+  cfg.queue_capacity = 1;
+  cfg.snapshots.auto_publish_observations = 1;
+  IngestPipeline pipe{rules_->hitlist, *rules_, cfg};
+  std::latch release{1};
+  std::atomic<bool> armed{false};
+  std::atomic<bool> held{false};
+  pipe.detector().set_publish_hook(
+      [&](const core::ShardView*, const core::ShardView&) {
+        if (armed.load() && !held.exchange(true)) release.wait();
+      });
+
+  // Pushes wire[from, to); stops at the first refusal, which leaves the
+  // accepted datagrams a prefix of `wire`.
+  std::atomic<std::size_t> accepted{0};
+  auto push_range = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      auto bytes = wire[i].bytes;
+      if (!pipe.push_datagram(std::move(bytes), wire[i].hour)) return;
+      accepted.store(i + 1);
+    }
+  };
+
+  // Phase 1: drain() from a second thread while the first datagrams go in.
+  const std::size_t phase1 = 800;
+  std::atomic<bool> pushed{false};
+  std::thread drainer([&] {
+    while (!pushed.load()) pipe.drain();
+  });
+  push_range(0, phase1);
+  pushed.store(true);
+  drainer.join();
+  ASSERT_EQ(accepted.load(), phase1);
+
+  // Phase 2: hold a shard worker. Behind it the commit stops, the body
+  // queues fill and the header pass blocks on them; then shut down while
+  // body batches wait for their turn. The rest of the supply (~288 k
+  // flows) is far more than the shards' coalescing buffers can absorb
+  // first; the pusher stops at the refusal shutdown() causes.
+  armed.store(true);
+  std::atomic<bool> pusher_done{false};
+  std::thread pusher([&] {
+    push_range(phase1, wire.size());
+    pusher_done.store(true);
+  });
+  auto wait_for = [&](const auto& done) {
+    while (!done() && !pusher_done.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+  wait_for([&] { return held.load(); });
+  const std::uint64_t body_stalls = pipe.stats().decode_body.producer_stalls;
+  wait_for([&] {
+    return pipe.stats().decode_body.producer_stalls != body_stalls;
+  });
+  const bool backed_up = !pusher_done.load();
+  std::thread closer([&] { pipe.shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.count_down();
+  closer.join();
+  pusher.join();
+  finished.store(true);
+  watchdog.join();
+  EXPECT_TRUE(backed_up) << "the pusher finished before the held commit "
+                            "backed up the body queues";
+
+  // Serial replay of the accepted prefix: record-at-a-time decode with the
+  // decode stage's dedup window, the stock normalizer, one flat detector.
+  flow::nf9::Collector collector{
+      flow::nf9::CollectorConfig{.dedup_window = cfg.dedup_window}};
+  const auto normalize = default_normalizer(cfg.anonymization_key);
+  core::Detector reference{rules_->hitlist, *rules_, cfg.detector};
+  std::uint64_t flows = 0;
+  std::vector<flow::FlowRecord> records;
+  for (std::size_t i = 0; i < accepted.load(); ++i) {
+    records.clear();
+    ASSERT_TRUE(collector.ingest(wire[i].bytes, records));
+    for (const auto& rec : records) {
+      const auto obs = normalize(rec, wire[i].hour);
+      ASSERT_TRUE(obs.has_value());
+      reference.observe(obs->subscriber, obs->server, obs->port,
+                        obs->packets, obs->hour);
+      ++flows;
+    }
+  }
+  const auto stats = pipe.stats();
+  EXPECT_EQ(stats.datagrams, accepted.load());
+  EXPECT_EQ(stats.malformed_datagrams, 0u);
+  EXPECT_EQ(stats.flows_decoded, flows);
+  EXPECT_EQ(stats.observations, flows);
+  EXPECT_EQ(pipe.detector().stats().flows, flows);
+  EXPECT_EQ(snapshot(pipe.detector()), snapshot(reference));
+  const auto check = pipe.self_check();
+  EXPECT_TRUE(check.ok) << check.detail;
+}
+
+// ---------------------------------------------------------------------------
+// Stage threads start on first use: a pipeline pays only for the intake
+// paths it is fed. Counted from /proc/self/task.
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Polls until the process runs `want` threads: a joined thread can stay
+/// listed under /proc for a moment after join() returns.
+bool threads_settle_at(std::size_t want) {
+  for (int i = 0; i < 400; ++i) {
+    if (process_threads() == want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return process_threads() == want;
+}
+
+core::RuleSet one_service_rules() {
+  core::RuleSet rules;
+  core::DetectionRule rule;
+  rule.service = 1;
+  rule.name = "svc";
+  rule.monitored_domains = 2;
+  rule.monitored_indices = {0, 1};
+  rules.rules.push_back(std::move(rule));
+  for (std::uint16_t m = 0; m < 2; ++m) {
+    rules.hitlist.add(net::IpAddress::v4(0x0a010000U + m), 443, 0, {1, m});
+  }
+  return rules;
+}
+
+/// One exporter's datagrams carrying `n` flows to the rule's servers.
+std::vector<std::vector<std::uint8_t>> lazy_start_datagrams(
+    std::uint32_t source_id, std::uint32_t n) {
+  std::vector<flow::FlowRecord> records;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    flow::FlowRecord rec;
+    rec.key.src = net::IpAddress::v4(0x0a800000U + i % 16);
+    rec.key.dst = net::IpAddress::v4(0x0a010000U + i % 2);
+    rec.key.dst_port = 443;
+    rec.packets = 1;
+    records.push_back(rec);
+  }
+  flow::nf9::Exporter exporter{{.source_id = source_id}};
+  return exporter.export_flows(records, 1574000000U);
+}
+
+TEST(IngestLazyStart, StageThreadsStartOnFirstUse) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  const auto rules = one_service_rules();
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation; create one first so the baseline already counts it,
+  // and let the joined thread leave /proc.
+  std::thread{[] {}}.join();
+  std::size_t base = process_threads();
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    base = std::min(base, process_threads());
+  }
+  const unsigned body_workers = std::max(1u, util::usable_cpus() - 1);
+  IngestConfig cfg;
+  cfg.shards = 2;
+  {
+    IngestPipeline pipe{rules.hitlist, rules, cfg};
+    // The shard workers start with the detector; barriers and reads on an
+    // idle pipeline start nothing else.
+    pipe.drain();
+    EXPECT_TRUE(pipe.self_check().ok);
+    EXPECT_EQ(pipe.stats().decode_body.enqueued, 0u);
+    EXPECT_TRUE(threads_settle_at(base + cfg.shards))
+        << process_threads() << " threads, " << base << " before";
+
+    // Observation intake runs only the shard workers.
+    ASSERT_TRUE(pipe.push_observations(
+        {{.subscriber = 1, .server = net::IpAddress::v4(0x0a010000U),
+          .port = 443, .packets = 1, .hour = 0}}));
+    pipe.drain();
+    EXPECT_TRUE(threads_settle_at(base + cfg.shards))
+        << process_threads() << " threads, " << base << " before";
+
+    // The first datagram starts the header pass and the body workers.
+    for (auto& datagram : lazy_start_datagrams(7, 100)) {
+      ASSERT_TRUE(pipe.push_datagram(std::move(datagram), 0));
+    }
+    pipe.drain();
+    EXPECT_TRUE(threads_settle_at(base + cfg.shards + 1 + body_workers))
+        << process_threads() << " threads, " << base << " before";
+    EXPECT_EQ(pipe.stats().flows_decoded, 100u);
+    const auto check = pipe.self_check();
+    EXPECT_TRUE(check.ok) << check.detail;
+  }
+  EXPECT_TRUE(threads_settle_at(base));
+}
+
+TEST(IngestLazyStart, RacingFirstDatagramPushesBothSucceed) {
+  const auto rules = one_service_rules();
+  IngestConfig cfg;
+  cfg.shards = 2;
+  IngestPipeline pipe{rules.hitlist, rules, cfg};
+  const auto first = lazy_start_datagrams(7, 200);
+  const auto second = lazy_start_datagrams(8, 200);
+  std::latch go{3};
+  std::atomic<std::size_t> accepted{0};
+  auto pusher = [&](const std::vector<std::vector<std::uint8_t>>& wire) {
+    go.arrive_and_wait();
+    for (const auto& datagram : wire) {
+      if (pipe.push_datagram(datagram, 0)) accepted.fetch_add(1);
+    }
+  };
+  std::thread a{pusher, std::cref(first)};
+  std::thread b{pusher, std::cref(second)};
+  go.arrive_and_wait();
+  a.join();
+  b.join();
+  EXPECT_EQ(accepted.load(), first.size() + second.size());
+  pipe.drain();
+  const auto stats = pipe.stats();
+  EXPECT_EQ(stats.datagrams, first.size() + second.size());
+  EXPECT_EQ(stats.flows_decoded, 400u);
+  EXPECT_EQ(pipe.detector().stats().flows, 400u);
+  const auto check = pipe.self_check();
+  EXPECT_TRUE(check.ok) << check.detail;
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v9.hpp"
 #include "flow/template_plan.hpp"
+#include "flow/wire.hpp"
 
 namespace haystack::flow::plan {
 namespace {
@@ -234,8 +235,7 @@ void expect_same_records(const std::vector<FlowRecord>& reference,
 }
 
 TEST(TemplatePlan, NetflowV9BatchMatchesReferenceWalk) {
-  nf9::Exporter exporter{{.source_id = 5, .sampling = 1000,
-                          .template_refresh_packets = 1}};
+  nf9::Exporter exporter{{.source_id = 5, .template_refresh_packets = 1}};
   const auto records = sample_records(60);
   const auto packets = exporter.export_flows(records, 1574000000);
 
@@ -253,7 +253,7 @@ TEST(TemplatePlan, NetflowV9BatchMatchesReferenceWalk) {
 }
 
 TEST(TemplatePlan, IpfixBatchMatchesReferenceWalk) {
-  ipfix::Exporter exporter{{.observation_domain = 9, .sampling = 500}};
+  ipfix::Exporter exporter{{.observation_domain = 9}};
   const auto records = sample_records(60);
   const auto packets = exporter.export_flows(records, 1574000000);
 
@@ -269,32 +269,107 @@ TEST(TemplatePlan, IpfixBatchMatchesReferenceWalk) {
   EXPECT_EQ(ref.stats().records, fast.stats().records);
 }
 
+// A NetFlow v9 packet that announces template 256 with IN_PKTS 4 bytes
+// wide instead of the exporter's 8, then carries `records` (IPv4) under
+// it. Sequence and uptime continue the stream of an exporter that booted
+// at Unix time 0 and has sent `sequence` packets.
+std::vector<std::uint8_t> narrow_packets_packet(
+    std::span<const FlowRecord> records, std::uint32_t source_id,
+    std::uint32_t sequence, std::uint32_t unix_secs) {
+  constexpr std::uint16_t kFields[][2] = {
+      {kIpv4SrcAddr, 4}, {kIpv4DstAddr, 4}, {7, 2},  {kL4DstPort, 2},
+      {kProtocol, 1},    {6, 1},            {kInPkts, 4}, {kInBytes, 8},
+      {kFirstSwitched, 4}, {21, 4},         {34, 4}};
+  ByteWriter w;
+  w.u16(9);
+  w.u16(2);  // flowsets
+  w.u32(unix_secs * 1000U);
+  w.u32(unix_secs);
+  w.u32(sequence);
+  w.u32(source_id);
+  w.u16(0);  // template flowset
+  w.u16(static_cast<std::uint16_t>(8 + 4 * std::size(kFields)));
+  w.u16(nf9::kTemplateV4);
+  w.u16(static_cast<std::uint16_t>(std::size(kFields)));
+  for (const auto& f : kFields) {
+    w.u16(f[0]);
+    w.u16(f[1]);
+  }
+  const std::size_t length_offset = w.size() + 2;
+  w.u16(nf9::kTemplateV4);
+  w.u16(0);  // length placeholder
+  for (const FlowRecord& rec : records) {
+    w.u32(rec.key.src.v4_value());
+    w.u32(rec.key.dst.v4_value());
+    w.u16(rec.key.src_port);
+    w.u16(rec.key.dst_port);
+    w.u8(rec.key.proto);
+    w.u8(rec.tcp_flags);
+    w.u32(static_cast<std::uint32_t>(rec.packets));
+    w.u64(rec.bytes);
+    w.u32(static_cast<std::uint32_t>(rec.start_ms));
+    w.u32(static_cast<std::uint32_t>(rec.end_ms));
+    w.u32(rec.sampling);
+  }
+  const std::size_t unpadded = w.size() - (length_offset - 2);
+  w.pad((4 - unpadded % 4) % 4);
+  w.patch_u16(length_offset,
+              static_cast<std::uint16_t>(w.size() - (length_offset - 2)));
+  return w.take();
+}
+
 TEST(TemplatePlan, TemplateRedefinitionMidStreamRecompilesThePlan) {
   // Fuzz regression: a template id re-announced with a different layout
   // mid-stream must recompile the plan; decoding later data under the
-  // stale plan reads the wrong offsets. Two exporters share template id
-  // 256 with different record layouts (sampling stamped vs not), and the
-  // batch collector must track the redefinition exactly as the reference
-  // does.
+  // stale plan reads the wrong offsets. The exporter's template 256 is
+  // redefined by a hand-written packet whose IN_PKTS is 4 bytes wide, then
+  // re-announced by the exporter. Every collector must track both
+  // redefinitions exactly as the reference does — including one that
+  // executes its jobs only after the last scan, so a job that read its
+  // template entry at execute time instead of keeping the plan it was
+  // scanned under would decode the narrow body at the wide offsets.
   const auto records = sample_records(8);
-
-  nf9::Exporter first{{.source_id = 3, .sampling = 1,
-                       .template_refresh_packets = 1}};
-  nf9::Exporter second{{.source_id = 3, .sampling = 77,
-                        .template_refresh_packets = 1}};
+  std::vector<FlowRecord> v4;
+  std::vector<FlowRecord> v6;
+  for (const auto& rec : records) {
+    (rec.key.src.is_v4() ? v4 : v6).push_back(rec);
+  }
+  constexpr std::uint32_t kTime = 1574000000;
+  nf9::Exporter exporter{{.source_id = 3, .template_refresh_packets = 1}};
+  std::vector<std::vector<std::uint8_t>> packets =
+      exporter.export_flows(records, kTime);
+  packets.push_back(
+      narrow_packets_packet(v4, 3, exporter.packets_sent(), kTime));
+  for (auto& packet : exporter.export_flows(records, kTime)) {
+    packets.push_back(std::move(packet));
+  }
 
   nf9::Collector ref;
   nf9::Collector fast;
+  nf9::Collector deferred;
   std::vector<FlowRecord> ref_out;
   FlowBatch batch;
-  for (auto* exporter : {&first, &second}) {
-    for (const auto& packet :
-         exporter->export_flows(records, 1574000000)) {
-      ref.ingest(packet, ref_out);
-      fast.ingest_batch(packet, batch);
-    }
+  std::vector<BodyJob> jobs;
+  for (const auto& packet : packets) {
+    ASSERT_TRUE(ref.ingest(packet, ref_out));
+    ASSERT_TRUE(fast.ingest_batch(packet, batch));
+    ASSERT_TRUE(deferred.scan(packet, jobs));
   }
+  FlowBatch deferred_rows;
+  for (const BodyJob& job : jobs) execute(job, deferred_rows);
+
+  // Every packet decodes to the records written into it (the exporter
+  // writes its IPv4 flowset first), the narrow one included.
+  std::vector<FlowRecord> expected;
+  for (const auto* part : {&v4, &v6, &v4, &v4, &v6}) {
+    expected.insert(expected.end(), part->begin(), part->end());
+  }
+  ASSERT_EQ(ref_out, expected);
   expect_same_records(ref_out, batch);
+  expect_same_records(ref_out, deferred_rows);
+  EXPECT_EQ(ref.stats().templates_learned, 5u);
+  EXPECT_EQ(deferred.stats().records, ref.stats().records);
+  EXPECT_EQ(fast.stats().records, ref.stats().records);
 }
 
 }  // namespace

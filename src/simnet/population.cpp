@@ -1,7 +1,6 @@
 #include "simnet/population.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -19,35 +18,11 @@ constexpr std::uint32_t kRegionAddrSpan = 1024;
 // below 262 144 (4096 regions) the wrap is an identity, so small-N
 // populations keep their historical addresses bit-for-bit.
 constexpr std::uint64_t kSubscriberSpan = 0x400000;
-
-// Per-thread pins keeping the block behind the last devices_of() span
-// alive across LRU eviction. Keyed by Population identity so tests
-// comparing two instances side by side keep both spans valid.
-struct BlockPin {
-  const void* population = nullptr;
-  std::shared_ptr<const void> block;
-};
-thread_local std::vector<BlockPin> t_block_pins;
-constexpr std::size_t kMaxPins = 16;
-
-void pin_block(const void* population, std::shared_ptr<const void> block) {
-  for (BlockPin& pin : t_block_pins) {
-    if (pin.population == population) {
-      pin.block = std::move(block);
-      return;
-    }
-  }
-  if (t_block_pins.size() >= kMaxPins) {
-    t_block_pins.erase(t_block_pins.begin());
-  }
-  t_block_pins.push_back({population, std::move(block)});
-}
 }  // namespace
 
 Population::Population(const Catalog& catalog,
                        const PopulationConfig& config)
     : catalog_{catalog}, config_{config} {
-  if (config_.cache_blocks == 0) config_.cache_blocks = 1;
   // Pre-extract the ownership candidates: real products plus virtual
   // wild-extra devices per unit. Order matters: ownership draws consume
   // the per-line RNG stream in exactly this sequence, which is what keeps
@@ -62,90 +37,44 @@ Population::Population(const Catalog& catalog,
       candidates_.push_back({std::nullopt, u.id, u.wild_extra_penetration});
     }
   }
-  cache_.reserve(config_.cache_blocks);
+  slots_ = std::make_unique<Slot[]>(block_count());
 }
 
-std::shared_ptr<const Population::Block> Population::build_block(
-    std::uint32_t index) const {
-  auto block = std::make_shared<Block>();
-  block->first_line = index * kBlockLines;
-  block->line_span = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(kBlockLines,
-                              std::uint64_t{config_.lines} -
-                                  block->first_line));
-  block->offsets.reserve(block->line_span + 1);
-  block->offsets.push_back(0);
-  for (std::uint32_t i = 0; i < block->line_span; ++i) {
-    const LineId line = block->first_line + i;
+void Population::build_block(std::uint32_t index, Block& block) const {
+  const LineId first = index * kBlockLines;
+  const auto end = static_cast<LineId>(std::min<std::uint64_t>(
+      std::uint64_t{first} + kBlockLines, config_.lines));
+  for (LineId line = first; line < end; ++line) {
     util::Pcg32 rng = util::derive_rng(config_.seed ^ 0x0cc07a11, line, 0);
-    bool any = false;
+    const std::size_t owned = block.devices.size();
     for (const Candidate& c : candidates_) {
       if (rng.chance(c.penetration)) {
-        block->devices.push_back({c.product, c.unit});
-        any = true;
+        block.devices.push_back({c.product, c.unit});
       }
     }
-    block->offsets.push_back(
-        static_cast<std::uint32_t>(block->devices.size()));
-    if (any) block->active.push_back(line);
-  }
-  block->devices.shrink_to_fit();
-  block->active.shrink_to_fit();
-  return block;
-}
-
-std::shared_ptr<const Population::Block> Population::block_for(
-    LineId line) const {
-  const std::uint32_t index = line / kBlockLines;
-  // Caller holds cache_mutex_.
-  const auto cached = [&]() -> std::shared_ptr<const Block> {
-    for (CacheSlot& slot : cache_) {
-      if (slot.index == index) {
-        slot.last_use = ++cache_clock_;
-        return slot.block;
-      }
-    }
-    return nullptr;
-  };
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (std::shared_ptr<const Block> hit = cached()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
+    if (block.devices.size() != owned) {
+      block.active.push_back(line);
+      block.ends.push_back(static_cast<std::uint32_t>(block.devices.size()));
     }
   }
-  std::shared_ptr<const Block> block = build_block(index);
-  cache_builds_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (std::shared_ptr<const Block> raced = cached()) return raced;
-  cached_bytes_.fetch_add(block->bytes(), std::memory_order_relaxed);
-  if (cache_.size() < config_.cache_blocks) {
-    cache_.push_back({index, ++cache_clock_, block});
-  } else {
-    auto victim = std::min_element(
-        cache_.begin(), cache_.end(),
-        [](const CacheSlot& a, const CacheSlot& b) {
-          return a.last_use < b.last_use;
-        });
-    cached_bytes_.fetch_sub(victim->block->bytes(),
-                            std::memory_order_relaxed);
-    cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-    *victim = {index, ++cache_clock_, block};
-  }
-  return block;
+  block.active.shrink_to_fit();
+  block.ends.shrink_to_fit();
+  block.devices.shrink_to_fit();
+  built_bytes_.fetch_add(block.bytes(), std::memory_order_relaxed);
+  blocks_built_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Population::CacheStats Population::cache_stats() const noexcept {
-  return {cache_hits_.load(std::memory_order_relaxed),
-          cache_builds_.load(std::memory_order_relaxed),
-          cache_evictions_.load(std::memory_order_relaxed)};
+const Population::Block& Population::block(std::uint32_t index) const {
+  Slot& slot = slots_[index];
+  std::call_once(slot.once, [&] { build_block(index, slot.block); });
+  return slot.block;
 }
 
 std::span<const OwnedDevice> Population::devices_of(LineId line) const {
-  std::shared_ptr<const Block> block = block_for(line);
-  const std::span<const OwnedDevice> devices = block->devices_of(line);
-  pin_block(this, std::move(block));
-  return devices;
+  const Block& b = block(line / kBlockLines);
+  const auto it = std::lower_bound(b.active.begin(), b.active.end(), line);
+  if (it == b.active.end() || *it != line) return {};
+  return b.devices_at(static_cast<std::size_t>(it - b.active.begin()));
 }
 
 void Population::for_each_active_line(const ActiveLineFn& fn) const {
@@ -156,10 +85,9 @@ void Population::for_each_active_line(const ActiveLineFn& fn) const {
 
 void Population::for_each_active_line_in_block(std::uint32_t index,
                                                const ActiveLineFn& fn) const {
-  const std::shared_ptr<const Block> block =
-      block_for(static_cast<LineId>(index) * kBlockLines);
-  for (const LineId line : block->active) {
-    fn(line, block->devices_of(line));
+  const Block& b = block(index);
+  for (std::size_t i = 0; i < b.active.size(); ++i) {
+    fn(b.active[i], b.devices_at(i));
   }
 }
 
@@ -211,13 +139,9 @@ double Population::device_penetration() const {
 }
 
 std::uint64_t Population::memory_bytes() const {
-  std::uint64_t bytes =
-      sizeof(Population) + candidates_.capacity() * sizeof(Candidate);
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    bytes += cache_.capacity() * sizeof(CacheSlot);
-  }
-  return bytes + cached_bytes_.load(std::memory_order_relaxed);
+  return sizeof(Population) + candidates_.capacity() * sizeof(Candidate) +
+         std::uint64_t{block_count()} * sizeof(Slot) +
+         built_bytes_.load(std::memory_order_relaxed);
 }
 
 }  // namespace haystack::simnet

@@ -8,16 +8,15 @@
 // all deterministic functions of (seed, line), so any slice of the
 // population can be regenerated independently.
 //
-// Nothing is materialized per line. Ownership is regenerated on demand in
-// blocks of kBlockLines lines, held in a small LRU cache of immutable
-// shared blocks (DESIGN.md §12): the paper's 15 M-line ISP (Sec. 6,
-// Fig. 11) costs O(cache_blocks · kBlockLines) memory regardless of N,
-// while populations up to cache_blocks · kBlockLines lines (256 k at the
-// defaults — larger than every pre-scale workload) stay fully resident and
-// behave exactly like the old materialized CSR. Streaming consumers use
-// for_each_active_line (all blocks in order) or for_each_active_line_in_block
-// (one block, for block-parallel consumers); every walked block goes through
-// the LRU, so a walk over more blocks than the cache holds rebuilds them all.
+// Ownership is generated lazily in blocks of kBlockLines lines
+// (DESIGN.md §12): the first thread to touch a block builds it, and the
+// block is then kept, immutable, for the Population's lifetime.
+// Construction builds nothing. A block stores only its active lines (those
+// owning at least one device), so memory is O(active lines): ~4.7 MiB at
+// 1 M lines and ~71 MiB at the paper's 15 M-line ISP (Sec. 6, Fig. 11)
+// once every block has been touched. Streaming consumers use
+// for_each_active_line (all blocks in order) or
+// for_each_active_line_in_block (one block, for block-parallel consumers).
 //
 // Addressing model: each line lives in a regional pool of four /24s shared
 // with 63 neighbours. Identifier rotation (router reboots, daily
@@ -60,11 +59,6 @@ struct PopulationConfig {
   double daily_rotation_probability = 0.03;
   /// Fraction of lines with IPv6 connectivity.
   double dual_stack_fraction = 0.35;
-  /// Ownership-block LRU capacity. Blocks cover kBlockLines lines each, so
-  /// the default keeps 64 · 4096 = 262 144 lines hot — every pre-scale
-  /// workload fits entirely; a 15 M-line sweep cycles blocks in bounded
-  /// memory.
-  std::uint32_t cache_blocks = 64;
 };
 
 /// The (lazily generated) population.
@@ -79,17 +73,15 @@ class Population {
     return config_.lines;
   }
 
-  /// Devices owned by a line (possibly empty). The span stays valid until
-  /// the calling thread's next devices_of / for_each_active_line call on
-  /// this Population (the thread pins the backing block; streaming callers
-  /// should prefer for_each_active_line).
+  /// Devices owned by a line < line_count() (empty when it owns none).
+  /// The span stays valid for the Population's lifetime.
   [[nodiscard]] std::span<const OwnedDevice> devices_of(LineId line) const;
 
   using ActiveLineFn =
       std::function<void(LineId, std::span<const OwnedDevice>)>;
 
   /// Streams every line owning at least one device, ascending, with its
-  /// devices. The span is valid only during the callback.
+  /// devices (spans as from devices_of).
   void for_each_active_line(const ActiveLineFn& fn) const;
 
   /// Number of ownership blocks: ceil(line_count() / kBlockLines).
@@ -103,15 +95,11 @@ class Population {
   void for_each_active_line_in_block(std::uint32_t index,
                                      const ActiveLineFn& fn) const;
 
-  /// Ownership-block cache counters since construction. `builds` counts
-  /// every regeneration (a miss); two threads missing the same block at
-  /// once both build it, and the first insert wins.
-  struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t builds = 0;
-    std::uint64_t evictions = 0;
-  };
-  [[nodiscard]] CacheStats cache_stats() const noexcept;
+  /// Ownership blocks built so far. Each block is built at most once;
+  /// threads touching an unbuilt block together wait for one build.
+  [[nodiscard]] std::uint64_t blocks_built() const noexcept {
+    return blocks_built_.load(std::memory_order_relaxed);
+  }
 
   /// Number of lines owning at least one device (computed on first use via
   /// one streaming pass, then cached).
@@ -142,30 +130,26 @@ class Population {
   /// Fraction of lines owning at least one catalog or virtual device.
   [[nodiscard]] double device_penetration() const;
 
-  /// Bytes held by the ownership-block cache plus fixed members — the
-  /// number the streaming design bounds (old CSR: O(lines)).
+  /// Bytes held by the built ownership blocks plus fixed members.
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
  private:
-  // One regenerated ownership block: devices of line (first_line + i) are
-  // devices[offsets[i] .. offsets[i+1]). Immutable once built; shared_ptr
-  // so readers outlive eviction.
+  // One ownership block: active[i] (ascending) owns
+  // devices[ends[i - 1] .. ends[i]), with ends[-1] = 0.
   struct Block {
-    LineId first_line = 0;
-    std::uint32_t line_span = 0;
-    std::vector<std::uint32_t> offsets;
+    std::vector<LineId> active;
+    std::vector<std::uint32_t> ends;
     std::vector<OwnedDevice> devices;
-    std::vector<LineId> active;  // lines in-block owning ≥1 device
 
-    [[nodiscard]] std::span<const OwnedDevice> devices_of(
-        LineId line) const {
-      const std::uint32_t i = line - first_line;
-      return {devices.data() + offsets[i], devices.data() + offsets[i + 1]};
+    [[nodiscard]] std::span<const OwnedDevice> devices_at(
+        std::size_t i) const {
+      return {devices.data() + (i == 0 ? 0 : ends[i - 1]),
+              devices.data() + ends[i]};
     }
     [[nodiscard]] std::uint64_t bytes() const noexcept {
-      return sizeof(Block) + offsets.capacity() * sizeof(std::uint32_t) +
-             devices.capacity() * sizeof(OwnedDevice) +
-             active.capacity() * sizeof(LineId);
+      return active.capacity() * sizeof(LineId) +
+             ends.capacity() * sizeof(std::uint32_t) +
+             devices.capacity() * sizeof(OwnedDevice);
     }
   };
 
@@ -175,32 +159,23 @@ class Population {
     double penetration = 0.0;
   };
 
-  [[nodiscard]] std::shared_ptr<const Block> block_for(LineId line) const;
-  [[nodiscard]] std::shared_ptr<const Block> build_block(
-      std::uint32_t index) const;
+  // Block `index`, built on first use.
+  [[nodiscard]] const Block& block(std::uint32_t index) const;
+  void build_block(std::uint32_t index, Block& block) const;
 
   const Catalog& catalog_;
   PopulationConfig config_;
   std::vector<Candidate> candidates_;
 
-  // LRU over block index → block; guarded by cache_mutex_. A hit is a
-  // linear scan of the cache_blocks slots plus a recency bump. A miss
-  // builds the block outside the lock (~1 ms, so concurrent callers never
-  // queue behind it), then re-scans and inserts; if another thread
-  // inserted the same block meanwhile, its copy wins (blocks are pure
-  // functions of (seed, index), so the copies are identical).
-  mutable std::mutex cache_mutex_;
-  struct CacheSlot {
-    std::uint32_t index = 0;
-    std::uint64_t last_use = 0;
-    std::shared_ptr<const Block> block;
+  // One slot per block; `once` guards the build, after which the block
+  // never changes.
+  struct Slot {
+    std::once_flag once;
+    Block block;
   };
-  mutable std::vector<CacheSlot> cache_;
-  mutable std::uint64_t cache_clock_ = 0;
-  mutable std::atomic<std::uint64_t> cached_bytes_{0};
-  mutable std::atomic<std::uint64_t> cache_hits_{0};
-  mutable std::atomic<std::uint64_t> cache_builds_{0};
-  mutable std::atomic<std::uint64_t> cache_evictions_{0};
+  std::unique_ptr<Slot[]> slots_;
+  mutable std::atomic<std::uint64_t> blocks_built_{0};
+  mutable std::atomic<std::uint64_t> built_bytes_{0};
 
   // active_line_count / device_penetration are one full streaming pass;
   // computed once on demand.

@@ -26,17 +26,8 @@ constexpr std::uint64_t kHeavySalt = 0x6ea57e55;
 // RSS.
 constexpr std::size_t kBufferReserve = 8 * Population::kBlockLines;
 
-/// Draws a sampled packet count with mean `lambda`, using a one-uniform
-/// Bernoulli fast path for tiny rates (the overwhelmingly common case at
-/// 1-in-1000 sampling).
-std::uint64_t sampled_count(util::Pcg32& rng, double lambda) {
-  if (lambda <= 0.0) return 0;
-  if (lambda < 0.05) {
-    // P(N>=1) = 1-e^-l ~= l - l^2/2; P(N>=2 | N>=1) < l/2, negligible.
-    return rng.chance(lambda * (1.0 - 0.5 * lambda)) ? 1 : 0;
-  }
-  return rng.poisson(lambda);
-}
+// Mode indices into DomainPlan::rates.
+enum Mode : unsigned { kIdle, kActive, kHeavy };
 
 /// Runs fill(b, buffer) for blocks b = 0 .. count − 1 on `workers` threads
 /// and deliver(buffer) on the calling thread in ascending b. workers + 1
@@ -134,19 +125,29 @@ void ordered_blocks(std::uint32_t count, unsigned workers, const Fill& fill,
 struct WildIspSim::Hour {
   util::HourBin hour;
   util::DayBin day;
-  double inv_n;
+  util::DayBin ips_day;  // day of the backend's daily address sets
   std::uint64_t hour_ms;
 };
+
+/// Draws a sampled packet count with mean `r.lambda`, using a one-uniform
+/// Bernoulli fast path for tiny rates (the overwhelmingly common case at
+/// 1-in-1000 sampling).
+std::uint64_t WildIspSim::sampled_count(util::Pcg32& rng,
+                                        const SampledRate& r) {
+  if (r.lambda <= 0.0) return 0;
+  if (r.lambda < 0.05) return rng.chance(r.bernoulli) ? 1 : 0;
+  return rng.poisson(r.lambda, r.limit);
+}
 
 WildIspSim::WildIspSim(const Backend& backend, const Population& population,
                        const DomainRateModel& rates,
                        const WildIspConfig& config)
-    : backend_{backend},
-      population_{population},
-      rates_{rates},
-      config_{config} {
-  const auto& units = backend.catalog().units();
+    : backend_{backend}, population_{population}, config_{config} {
+  const Catalog& catalog = backend.catalog();
+  const auto& units = catalog.units();
+  const double inv_n = 1.0 / static_cast<double>(config_.sampling);
   chains_.resize(units.size());
+  plans_.resize(units.size());
   for (const DetectionUnit& u : units) {
     UnitId cur = u.id;
     for (;;) {
@@ -154,6 +155,20 @@ WildIspSim::WildIspSim(const Backend& backend, const Population& population,
       const auto& parent = units[cur].parent;
       if (!parent) break;
       cur = *parent;
+    }
+    const std::array<double, 3> mults{
+        1.0, u.active_multiplier,
+        u.active_multiplier * config_.heavy_session_factor};
+    for (const UnitDomain* dom : catalog.domains_of(u.id)) {
+      DomainPlan& plan = plans_[u.id].emplace_back();
+      plan.hosting = &backend.hosting_of(u.id, dom->index);
+      for (const unsigned mode : {kIdle, kActive, kHeavy}) {
+        const double lambda =
+            rates.idle_rate(u.id, dom->index) * mults[mode] * inv_n;
+        // P(N>=1) = 1-e^-l ~= l - l^2/2; P(N>=2 | N>=1) < l/2, negligible.
+        plan.rates[mode] = {lambda, lambda * (1.0 - 0.5 * lambda),
+                            std::exp(-lambda)};
+      }
     }
   }
 }
@@ -208,34 +223,27 @@ void WildIspSim::line_observations(const Hour& h, const LineId line,
         heavy || usage_draw(line, di, dev.unit, h.hour,
                             config_.base_active_prob, kActiveSalt);
 
+    const Mode mode = heavy ? kHeavy : active ? kActive : kIdle;
+
     util::Pcg32 rng = util::derive_rng(
         config_.seed ^ 0x3f10b5, util::hash_combine(line, di), h.hour);
 
     for (const UnitId uid : chains_[dev.unit]) {
-      const DetectionUnit& unit = catalog.units()[uid];
-      double effective_mult = 1.0;
-      if (heavy) {
-        effective_mult = unit.active_multiplier * config_.heavy_session_factor;
-      } else if (active) {
-        effective_mult = unit.active_multiplier;
-      }
-      for (const UnitDomain* dom : catalog.domains_of(uid)) {
+      const double duty = catalog.units()[uid].idle_domain_duty;
+      for (const DomainPlan& plan : plans_[uid]) {
         // Duty cycle: not every domain is contacted every hour.
-        if (unit.idle_domain_duty < 1.0 && !active &&
-            !rng.chance(unit.idle_domain_duty)) {
-          continue;
-        }
-        const double lambda =
-            rates_.idle_rate(uid, dom->index) * effective_mult * h.inv_n;
-        const std::uint64_t sampled = sampled_count(rng, lambda);
+        if (duty < 1.0 && !active && !rng.chance(duty)) continue;
+        const std::uint64_t sampled = sampled_count(rng, plan.rates[mode]);
         if (sampled == 0) continue;
 
         // Happy eyeballs: dual-stack lines prefer v6 when the backend
         // publishes AAAA records.
-        const auto& ips6 = backend_.ips6_of(uid, dom->index);
-        const bool use_v6 = v6_capable && !ips6.empty() && rng.chance(0.6);
+        const HostedDomain& hosting = *plan.hosting;
+        const UnitDomain* dom = hosting.domain;
+        const bool use_v6 =
+            v6_capable && !hosting.v6_ips.empty() && rng.chance(0.6);
         const auto& ips =
-            use_v6 ? ips6 : backend_.ips_of(uid, dom->index, h.day);
+            use_v6 ? hosting.v6_ips : hosting.daily_ips[h.ips_day];
         obs.line = line;
         obs.subscriber = subscriber;
         obs.unit = uid;
@@ -266,8 +274,8 @@ void WildIspSim::hour_observations(util::HourBin hour,
 
 void WildIspSim::hour_observations(util::HourBin hour, const Sink& sink,
                                    unsigned workers) const {
-  const Hour h{hour, util::day_of(hour),
-               1.0 / static_cast<double>(config_.sampling),
+  const util::DayBin day = util::day_of(hour);
+  const Hour h{hour, day, std::min<util::DayBin>(day, util::kStudyDays - 1),
                static_cast<std::uint64_t>(hour) * 3'600'000};
   const std::uint32_t blocks = population_.block_count();
   if (workers == 0 || blocks < 2) {

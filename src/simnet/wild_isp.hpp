@@ -6,13 +6,17 @@
 // sampling the exported count is Poisson(rate/N) — the thinning identity —
 // so the simulator draws the sampled count directly and never materializes
 // the millions of invisible flows. A fast Bernoulli path handles the common
-// tiny-rate case.
+// tiny-rate case. Everything a unit domain contributes that does not vary
+// by line or hour (its hosting record and, per usage mode, its sampled
+// rate with the Bernoulli probability and Poisson limit derived from it)
+// is resolved once, when the simulator is constructed.
 //
 // Each observation carries ground-truth labels (line, unit, domain) used by
 // the evaluation harness only — the detector itself consumes just the
 // subscriber address and the flow record.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -20,6 +24,7 @@
 #include "simnet/backend.hpp"
 #include "simnet/population.hpp"
 #include "simnet/rates.hpp"
+#include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
 namespace haystack::simnet {
@@ -92,6 +97,21 @@ class WildIspSim {
  private:
   struct Hour;  // per-hour constants shared by every line of the hour
 
+  // A sampled rate λ and what sampled_count derives from λ alone.
+  struct SampledRate {
+    double lambda = 0.0;
+    double bernoulli = 0.0;  // P(count = 1) on the λ < 0.05 path
+    double limit = 0.0;      // e^−λ, the Poisson draw's Knuth limit
+  };
+  // One unit domain: its hosting record and its sampled rate when the
+  // device is idle, active or in a heavy session.
+  struct DomainPlan {
+    const HostedDomain* hosting = nullptr;
+    std::array<SampledRate, 3> rates;
+  };
+
+  static std::uint64_t sampled_count(util::Pcg32& rng, const SampledRate& r);
+
   // Per device-hour usage draw behind device_active (salt kActiveSalt) and
   // device_heavy (kHeavySalt): a Bernoulli with probability base_prob
   // scaled by the unit's diurnal strength.
@@ -107,11 +127,12 @@ class WildIspSim {
 
   const Backend& backend_;
   const Population& population_;
-  const DomainRateModel& rates_;
   WildIspConfig config_;
   // Unit ancestor chains, precomputed: chains_[u] lists u and all
   // ancestors.
   std::vector<std::vector<UnitId>> chains_;
+  // plans_[u][k] resolves catalog().domains_of(u)[k].
+  std::vector<std::vector<DomainPlan>> plans_;
 };
 
 }  // namespace haystack::simnet

@@ -5,10 +5,13 @@
 namespace haystack::util {
 
 std::uint64_t Pcg32::poisson(double mean) noexcept {
+  return poisson(mean, std::exp(-mean));
+}
+
+std::uint64_t Pcg32::poisson(double mean, double limit) noexcept {
   if (mean <= 0.0) return 0;
   if (mean < 30.0) {
     // Knuth: multiply uniforms until the product drops below e^-mean.
-    const double limit = std::exp(-mean);
     double product = 1.0;
     std::uint64_t count = 0;
     do {

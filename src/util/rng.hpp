@@ -80,11 +80,14 @@ class Pcg32 {
 
   /// Poisson-distributed count with the given mean.
   ///
-  /// Knuth's product method for small means; for large means a Gaussian
-  /// approximation (via the central limit theorem on 12 uniforms) keeps the
-  /// cost O(1). The simulator draws per-domain hourly packet counts from
-  /// this, so it is on the hot path.
+  /// Knuth's product method for means below 30; for larger means a Gaussian
+  /// approximation keeps the cost O(1). The simulator draws per-domain
+  /// hourly packet counts from this, so it is on the hot path.
   std::uint64_t poisson(double mean) noexcept;
+
+  /// poisson(mean), draw for draw, with `limit` = std::exp(-mean) supplied
+  /// by a caller that draws many counts of one mean.
+  std::uint64_t poisson(double mean, double limit) noexcept;
 
   /// Geometric number of failures before the first success, p in (0,1].
   std::uint64_t geometric(double p) noexcept;

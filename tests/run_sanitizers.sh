@@ -20,7 +20,8 @@
 # aggregator offer/query, ISSUE 7), the live control plane suite (ctest
 # label `serve`: snapshot queries, hot-reloads, and alerts against full
 # ingest, ISSUE 8), the paper-scale suite (ctest label `scale`: the
-# block-cache LRU under cross-thread devices_of pins plus the
+# population's one build per block under racing devices_of and block
+# walks, the block-parallel generator, and the
 # million-entry evidence-map rehash storm, ISSUE 9), and the sharded
 # detector and streaming-pipeline unit tests.
 set -euo pipefail

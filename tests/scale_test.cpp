@@ -1,7 +1,7 @@
 // Paper-scale property suite (ISSUE 9, `ctest -L scale`).
 //
 // The scale PR replaces the materialized per-line population CSR with
-// lazy block-cached regeneration, packs Evidence to 28 bytes, and adds
+// lazily built ownership blocks, packs Evidence to 28 bytes, and adds
 // compact checkpoint/delta wire forms. Each of those is an "identical
 // observable behaviour, smaller footprint" claim, and this suite pins the
 // identical half:
@@ -11,8 +11,9 @@
 //     rotation days, dual-stack draws) — the reference reimplements the
 //     pre-PR generation inline so a regression in the lazy path cannot
 //     hide behind a shared helper;
-//   - a 15M-line population (the paper's ISP) stays inside 100.64.0.0/10
-//     and inside the bounded block-cache memory budget;
+//   - a 15M-line population (the paper's ISP) stays inside 100.64.0.0/10,
+//     builds only the blocks it touches, and builds each block once even
+//     when threads race on it;
 //   - FlatEvidenceMap at a million entries: the ≤0.5 load-factor
 //     invariant (the `>=` growth fix), memory_bytes() accounting, and
 //     iteration completeness across every rehash step;
@@ -20,14 +21,15 @@
 //     and the HSVD delta decoder rejects non-canonical field widths;
 //   - the block-parallel wild-ISP generator emits the exact observation
 //     sequence of the single-threaded one at every worker count, under
-//     concurrent callers and when its sink throws, and the block cache
-//     counts the rebuilds a walk over more blocks than it holds costs.
+//     concurrent callers and when its sink throws, and builds every block
+//     once however many hours it walks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <latch>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -104,11 +106,15 @@ class StreamingVsMaterialized
 TEST_P(StreamingVsMaterialized, OwnershipBitForBit) {
   const std::uint32_t lines = GetParam();
   const simnet::Catalog catalog;
-  // A tiny cache forces eviction/regeneration even at 10k lines, so the
-  // comparison exercises rebuilt blocks, not just first-build ones.
-  const simnet::Population population{
-      catalog, {.seed = 99, .lines = lines, .cache_blocks = 2}};
+  const simnet::Population population{catalog, {.seed = 99, .lines = lines}};
   const ReferenceCsr ref = build_reference(catalog, 99, lines);
+
+  // A span taken while only the first block is built must survive every
+  // other block being built after it.
+  const simnet::LineId early_line = ref.active.front();
+  const auto early = population.devices_of(early_line);
+  const std::vector<simnet::OwnedDevice> early_copy(early.begin(),
+                                                    early.end());
 
   for (simnet::LineId line = 0; line < lines; ++line) {
     const auto devices = population.devices_of(line);
@@ -132,6 +138,13 @@ TEST_P(StreamingVsMaterialized, OwnershipBitForBit) {
   EXPECT_EQ(streamed, ref.active);
   EXPECT_EQ(streamed_devices, ref.devices.size());
   EXPECT_EQ(population.active_line_count(), ref.active.size());
+
+  ASSERT_EQ(early.size(), early_copy.size());
+  EXPECT_EQ(early.data(), population.devices_of(early_line).data());
+  for (std::size_t i = 0; i < early.size(); ++i) {
+    EXPECT_EQ(early[i].product, early_copy[i].product);
+    EXPECT_EQ(early[i].unit, early_copy[i].unit);
+  }
 }
 
 TEST_P(StreamingVsMaterialized, AddressingBitForBit) {
@@ -192,22 +205,68 @@ TEST(ScalePopulation, PaperScaleAddressesStayInIspSpace) {
             population.address_of(14'999'998, 0));
 }
 
-TEST(ScalePopulation, BlockCacheMemoryStaysBounded) {
+TEST(ScalePopulation, TouchedBlocksAloneAreBuilt) {
   const simnet::Catalog catalog;
-  const simnet::Population population{
-      catalog, {.lines = 15'000'000, .cache_blocks = 8}};
-  // Touch blocks scattered across the whole 15M-line range — far more
-  // than the cache holds — and verify the footprint stays at the
-  // 8-block budget instead of growing with the touched span.
-  std::uint64_t peak = 0;
-  for (simnet::LineId line = 0; line < 15'000'000; line += 500'009) {
-    (void)population.devices_of(line);
-    peak = std::max(peak, population.memory_bytes());
+  const simnet::Population population{catalog, {.lines = 15'000'000}};
+  // Construction builds nothing.
+  EXPECT_EQ(population.blocks_built(), 0u);
+  const std::uint64_t empty = population.memory_bytes();
+  // Touch k lines scattered over the whole range, each in its own block,
+  // twice: each touched block is built once and then kept.
+  std::uint64_t k = 0;
+  for (int round = 0; round < 2; ++round) {
+    k = 0;
+    for (simnet::LineId line = 0; line < 15'000'000; line += 500'009) {
+      (void)population.devices_of(line);
+      ++k;
+    }
   }
-  // 8 blocks × 4096 lines × (a few devices × 8B + offsets + slack): well
-  // under 4 MiB; the old CSR held ~15M offsets + ~5M devices (>100 MiB).
-  EXPECT_LT(peak, 4u << 20);
-  EXPECT_GT(peak, 0u);
+  EXPECT_EQ(k, 30u);
+  EXPECT_EQ(population.blocks_built(), k);
+  // A block holds ~1.3 k active lines and ~1.6 k devices: ~20 KiB.
+  constexpr std::uint64_t kBlockBound = 24u << 10;
+  EXPECT_GT(population.memory_bytes(), empty);
+  EXPECT_LE(population.memory_bytes() - empty, k * kBlockBound);
+}
+
+TEST(ScalePopulation, RacingThreadsShareOneBuild) {
+  const simnet::Catalog catalog;
+  const simnet::PopulationConfig config{.seed = 99, .lines = 3 * 4096};
+  // An active line of block 1, found on a separate instance so the raced
+  // one starts with nothing built.
+  simnet::LineId line = 0;
+  {
+    const simnet::Population probe{catalog, config};
+    probe.for_each_active_line_in_block(
+        1, [&line](simnet::LineId l, std::span<const simnet::OwnedDevice>) {
+          if (line == 0) line = l;
+        });
+  }
+  ASSERT_NE(line, 0u);
+
+  const simnet::Population population{catalog, config};
+  constexpr unsigned kThreads = 4;
+  std::latch start{kThreads};
+  std::vector<const simnet::OwnedDevice*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      if (t % 2 == 0) {
+        seen[t] = population.devices_of(line).data();
+        return;
+      }
+      population.for_each_active_line_in_block(
+          1, [&](simnet::LineId l,
+                 std::span<const simnet::OwnedDevice> devices) {
+            if (l == line) seen[t] = devices.data();
+          });
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(population.blocks_built(), 1u);
+  ASSERT_NE(seen[0], nullptr);
+  for (unsigned t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]) << t;
 }
 
 // ---------------------------------------------------------------------
@@ -293,8 +352,8 @@ simnet::Backend* ScaleWildGenerator::backend_ = nullptr;
 simnet::DomainRateModel* ScaleWildGenerator::rates_ = nullptr;
 
 TEST_F(ScaleWildGenerator, SequencePinnedAtEveryWorkerCount) {
-  // 270 k lines is 66 blocks (more than the 64-block cache); 3 k lines is
-  // one block, which always streams inline.
+  // 270 k lines is 66 blocks; 3 k lines is one block, which always
+  // streams inline.
   for (const std::uint32_t lines : {270'000u, 3'000u}) {
     const World world{lines};
     for (const Pin& pin : kPins) {
@@ -343,9 +402,9 @@ TEST_F(ScaleWildGenerator, ThrowingSinkPropagatesAndStopsWorkers) {
   // No worker outlives the call: the thread count is back where it was
   // and no block gets built behind the caller's back.
   EXPECT_EQ(process_threads(), threads_before);
-  const std::uint64_t builds = world.population.cache_stats().builds;
+  const std::uint64_t builds = world.population.blocks_built();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(world.population.cache_stats().builds, builds);
+  EXPECT_EQ(world.population.blocks_built(), builds);
   // The generator holds no state across calls: the next hour is intact.
   EXPECT_EQ(digest(world.wild, 0, 4u), kPins[0].digest);
 }
@@ -360,39 +419,16 @@ TEST_F(ScaleWildGenerator, ConcurrentCallersEachGetThePinnedSequence) {
   EXPECT_EQ(b, kPins[0].digest);
 }
 
-TEST_F(ScaleWildGenerator, BlockCacheCountsRebuildsPerHourWalk) {
-  const auto walk = [](const World& world, unsigned workers) {
-    world.wild.hour_observations(0, [](const simnet::WildObs&) {}, workers);
-  };
-  // 300 k lines = 74 blocks against the 64-block LRU: a sequential walk
-  // evicts every block before it comes round again, so each hour walk
-  // rebuilds all 74, inline or parallel.
-  {
-    const World world{300'000};
-    ASSERT_EQ(world.population.block_count(), 74u);
-    walk(world, 0);
-    const auto first = world.population.cache_stats();
-    EXPECT_EQ(first.builds, 74u);
-    EXPECT_EQ(first.hits, 0u);
-    EXPECT_EQ(first.evictions, 74u - 64u);
-    walk(world, 2);
-    const auto second = world.population.cache_stats();
-    EXPECT_EQ(second.builds - first.builds, 74u);
-    EXPECT_EQ(second.hits, 0u);
-    EXPECT_EQ(second.evictions - first.evictions, 74u);
-  }
-  // 100 k lines = 25 blocks: fully resident after the first walk.
-  {
-    const World world{100'000};
-    walk(world, 2);
-    const auto first = world.population.cache_stats();
-    EXPECT_EQ(first.builds, 25u);
-    walk(world, 0);
-    const auto second = world.population.cache_stats();
-    EXPECT_EQ(second.builds, first.builds);
-    EXPECT_EQ(second.hits - first.hits, 25u);
-    EXPECT_EQ(second.evictions, 0u);
-  }
+TEST_F(ScaleWildGenerator, HourWalksBuildEachBlockOnce) {
+  // 300 k lines = 74 blocks. The first walk builds them all; later walks,
+  // inline or parallel, reuse them.
+  const World world{300'000};
+  ASSERT_EQ(world.population.block_count(), 74u);
+  EXPECT_EQ(world.population.blocks_built(), 0u);
+  world.wild.hour_observations(0, [](const simnet::WildObs&) {}, 0);
+  EXPECT_EQ(world.population.blocks_built(), 74u);
+  world.wild.hour_observations(1, [](const simnet::WildObs&) {}, 2);
+  EXPECT_EQ(world.population.blocks_built(), 74u);
 }
 
 // ---------------------------------------------------------------------

@@ -299,20 +299,30 @@ TEST(ServeProperty, EpochsMonotoneAndViewsNeverTorn) {
                             /*queue_capacity=*/256, nullptr,
                             {.auto_publish_observations = 1000}};
 
+  // The reader overlaps the ingest by construction: ingest starts after
+  // the reader's first completed iteration and ends only after the reader
+  // has completed one more once the last pass is enqueued.
   std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> iterations{0};
+  const auto await_iteration_after = [&iterations](std::uint64_t seen) {
+    while (iterations.load(std::memory_order_acquire) <= seen) {
+      std::this_thread::yield();
+    }
+  };
   std::thread ingest{[&] {
+    await_iteration_after(0);
     for (int pass = 0; pass < 4; ++pass) {
       for (util::HourBin h = 0; h < sc.stream.size(); ++h) {
         det.enqueue_batch(sc.stream[h]);
       }
     }
+    await_iteration_after(iterations.load(std::memory_order_acquire));
     done.store(true, std::memory_order_release);
   }};
 
   std::vector<std::uint64_t> last_epoch(kShards, 0);
   std::vector<std::uint64_t> last_obs(kShards, 0);
   std::vector<std::uint64_t> last_version(kShards, 0);
-  std::uint64_t iterations = 0;
   while (!done.load(std::memory_order_acquire)) {
     const auto views = det.live_views();
     ASSERT_EQ(views.size(), kShards);
@@ -337,10 +347,10 @@ TEST(ServeProperty, EpochsMonotoneAndViewsNeverTorn) {
       last_obs[s] = v.observations;
       last_version[s] = v.ruleset_version;
     }
-    ++iterations;
+    iterations.fetch_add(1, std::memory_order_release);
   }
   ingest.join();
-  EXPECT_GT(iterations, 0U);
+  EXPECT_GT(iterations.load(), 0U);
   EXPECT_EQ(det.view_hub().epoch_regressions(), 0U);
   EXPECT_EQ(det.cutover_regressions(), 0U);
 

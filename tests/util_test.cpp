@@ -66,6 +66,20 @@ TEST(Pcg32Test, PoissonMeanMatches) {
   }
 }
 
+TEST(Pcg32Test, PoissonWithLimitMatchesDrawForDraw) {
+  // Knuth means (below 30) and Gaussian means (30 and up).
+  for (const double mean : {0.05, 1.0, 29.99, 30.0, 747.0}) {
+    Pcg32 a{17, 3};
+    Pcg32 b{17, 3};
+    const double limit = std::exp(-mean);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.poisson(mean), b.poisson(mean, limit))
+          << "mean=" << mean << " draw " << i;
+    }
+    EXPECT_EQ(a(), b()) << "mean=" << mean;
+  }
+}
+
 TEST(Pcg32Test, GeometricAndExponentialMeans) {
   Pcg32 rng{13, 5};
   double geo_sum = 0.0;

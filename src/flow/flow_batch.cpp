@@ -1,8 +1,5 @@
 #include "flow/flow_batch.hpp"
 
-#include <algorithm>
-#include <utility>
-
 namespace haystack::flow {
 
 void FlowBatch::clear() {
@@ -77,68 +74,6 @@ FlowRecord FlowBatch::record(std::size_t i) const {
   rec.end_ms = end_ms[i];
   rec.sampling = sampling[i];
   return rec;
-}
-
-std::size_t FlowBatch::capacity_rows() const {
-  // src/dst dominate per-row bytes, but any column may have been grown
-  // independently by reserve(); take the max.
-  std::size_t rows = std::max(src.capacity(), dst.capacity());
-  rows = std::max(rows, packets.capacity());
-  rows = std::max(rows, bytes.capacity());
-  rows = std::max(rows, start_ms.capacity());
-  rows = std::max(rows, end_ms.capacity());
-  rows = std::max(rows, sampling.capacity());
-  rows = std::max({rows, src_port.capacity(), dst_port.capacity(),
-                   proto.capacity(), tcp_flags.capacity()});
-  return rows;
-}
-
-void FlowBatch::shrink_to_fit() {
-  // swap-with-empty releases capacity deterministically (shrink_to_fit
-  // is only a request).
-  FlowBatch empty;
-  *this = std::move(empty);
-}
-
-void BatchArena::Releaser::operator()(FlowBatch* batch) const {
-  if (batch == nullptr) return;
-  if (arena_ == nullptr) {
-    delete batch;
-    return;
-  }
-  arena_->release(batch);
-}
-
-BatchArena::Lease BatchArena::acquire() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++acquired_;
-  if (!free_.empty()) {
-    ++reused_;
-    FlowBatch* batch = free_.back().release();
-    free_.pop_back();
-    return Lease(batch, Releaser(this));
-  }
-  return Lease(new FlowBatch(), Releaser(this));
-}
-
-void BatchArena::release(FlowBatch* batch) {
-  std::unique_ptr<FlowBatch> owned(batch);
-  owned->clear();
-  bool trimmed = false;
-  if (owned->capacity_rows() > config_.trim_rows) {
-    owned->shrink_to_fit();
-    trimmed = true;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (trimmed) ++trimmed_;
-  if (free_.size() < config_.max_pool) {
-    free_.push_back(std::move(owned));
-  }
-}
-
-BatchArena::Stats BatchArena::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return Stats{acquired_, reused_, trimmed_, free_.size()};
 }
 
 }  // namespace haystack::flow

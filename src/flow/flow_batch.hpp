@@ -1,5 +1,4 @@
-// Structure-of-arrays flow batches and the per-wave arena behind them
-// (ISSUE 6 tentpole).
+// Structure-of-arrays flow batches.
 //
 // A `FlowBatch` holds the decoded fields of N flow records as parallel
 // columns instead of a vector of fat `FlowRecord` structs. Batch decode
@@ -13,23 +12,13 @@
 // so a batch row round-trips bit-for-bit through `record(i)` against the
 // record-at-a-time reference decoder. The differential tier enforces this.
 //
-// `BatchArena` recycles batch buffers across waves: a stage acquires a
-// `Lease` (a unique_ptr whose deleter returns the batch to the pool),
-// fills it, and hands it downstream through the bounded queues. The arena
-// trims column capacity on release once it exceeds `trim_rows`, so a
-// one-off burst — e.g. a FlowCache emergency expiry flushing the whole
-// cache into one batch — cannot pin megabytes in the pool forever
-// (ISSUE 6 satellite 5).
-//
-// Lifetime contract: a lease must not outlive its arena. IngestPipeline
-// declares the arena before the stage pools, so the pools (and any lease
-// still queued) are destroyed first.
+// The batch owns its columns by value, so its rows never alias the
+// datagram they were decoded from. Each pipeline body worker keeps one
+// batch and clears it per datagram, reusing its capacity.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "flow/record.hpp"
@@ -70,73 +59,12 @@ class FlowBatch {
   /// fields the template actually carries.
   std::size_t append_defaults();
 
-  /// Appends a fully materialized record (slow-path / test convenience).
+  /// Appends a fully materialized record (push_flows / test convenience).
   void push(const FlowRecord& rec);
 
   /// Reconstructs row `i` as a `FlowRecord`. Bit-identical to what the
   /// record-at-a-time reference decoder would have produced.
   [[nodiscard]] FlowRecord record(std::size_t i) const;
-
-  /// Largest column capacity, in rows — the arena's trim criterion.
-  [[nodiscard]] std::size_t capacity_rows() const;
-
-  /// Releases excess capacity in every column (used by the arena trim).
-  void shrink_to_fit();
-};
-
-/// Pool of reusable `FlowBatch` buffers. Thread-safe; leases may be
-/// acquired and released from different stage workers concurrently.
-class BatchArena {
- public:
-  struct Config {
-    /// Max batches kept in the free list; extra releases deallocate.
-    std::size_t max_pool = 32;
-    /// Column capacity (rows) above which a released batch is trimmed
-    /// back before pooling, bounding post-burst memory.
-    std::size_t trim_rows = 4096;
-  };
-
-  struct Stats {
-    std::uint64_t acquired = 0;  ///< total leases handed out
-    std::uint64_t reused = 0;    ///< leases served from the pool
-    std::uint64_t trimmed = 0;   ///< releases that triggered a capacity trim
-    std::size_t pooled = 0;      ///< batches currently in the free list
-  };
-
-  class Releaser {
-   public:
-    Releaser() = default;
-    explicit Releaser(BatchArena* arena) : arena_(arena) {}
-    void operator()(FlowBatch* batch) const;
-
-   private:
-    BatchArena* arena_ = nullptr;
-  };
-
-  /// Owning handle to a pooled batch; returns it to the arena on
-  /// destruction (or deletes it if the pool is full).
-  using Lease = std::unique_ptr<FlowBatch, Releaser>;
-
-  BatchArena() = default;
-  explicit BatchArena(Config config) : config_(config) {}
-  BatchArena(const BatchArena&) = delete;
-  BatchArena& operator=(const BatchArena&) = delete;
-
-  /// Returns an empty batch, reusing pooled capacity when available.
-  [[nodiscard]] Lease acquire();
-
-  [[nodiscard]] Stats stats() const;
-
- private:
-  friend class Releaser;
-  void release(FlowBatch* batch);
-
-  Config config_{};
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<FlowBatch>> free_;
-  std::uint64_t acquired_ = 0;
-  std::uint64_t reused_ = 0;
-  std::uint64_t trimmed_ = 0;
 };
 
 }  // namespace haystack::flow

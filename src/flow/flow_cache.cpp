@@ -4,21 +4,10 @@
 
 namespace haystack::flow {
 
-namespace {
-
-inline void append(std::vector<FlowRecord>& out, const FlowRecord& rec) {
-  out.push_back(rec);
-}
-
-inline void append(FlowBatch& out, const FlowRecord& rec) { out.push(rec); }
-
-}  // namespace
-
-template <typename Out>
-void FlowCache::add_impl(const PacketEvent& packet, Out& out) {
+void FlowCache::add(const PacketEvent& packet, std::vector<FlowRecord>& out) {
   // Opportunistic sweep at most once per idle timeout to bound cost.
   if (packet.timestamp_ms >= last_sweep_ms_ + config_.idle_timeout_ms) {
-    flush_expired_impl(packet.timestamp_ms, out);
+    flush_expired(packet.timestamp_ms, out);
     last_sweep_ms_ = packet.timestamp_ms;
   }
 
@@ -32,7 +21,7 @@ void FlowCache::add_impl(const PacketEvent& packet, Out& out) {
       Entry kept = it->second;
       FlowKey kept_key = it->first;
       cache_.erase(it);
-      flush_all_impl(out);
+      flush_all(out);
       ++emergency_expiries_;
       it = cache_.try_emplace(kept_key, kept).first;
     }
@@ -48,13 +37,13 @@ void FlowCache::add_impl(const PacketEvent& packet, Out& out) {
 
   // Active timeout: export the flow if it has lived too long.
   if (cur.end_ms - cur.start_ms >= config_.active_timeout_ms) {
-    append(out, cur);
+    out.push_back(cur);
     cache_.erase(it);
   }
 }
 
-template <typename Out>
-void FlowCache::flush_expired_impl(std::uint64_t now_ms, Out& out) {
+void FlowCache::flush_expired(std::uint64_t now_ms,
+                              std::vector<FlowRecord>& out) {
   for (auto it = cache_.begin(); it != cache_.end();) {
     const FlowRecord& rec = it->second.record;
     const bool idle_expired =
@@ -62,7 +51,7 @@ void FlowCache::flush_expired_impl(std::uint64_t now_ms, Out& out) {
     const bool active_expired =
         rec.end_ms - rec.start_ms >= config_.active_timeout_ms;
     if (idle_expired || active_expired) {
-      append(out, rec);
+      out.push_back(rec);
       it = cache_.erase(it);
     } else {
       ++it;
@@ -70,33 +59,9 @@ void FlowCache::flush_expired_impl(std::uint64_t now_ms, Out& out) {
   }
 }
 
-template <typename Out>
-void FlowCache::flush_all_impl(Out& out) {
-  for (auto& [key, entry] : cache_) append(out, entry.record);
+void FlowCache::flush_all(std::vector<FlowRecord>& out) {
+  for (auto& [key, entry] : cache_) out.push_back(entry.record);
   cache_.clear();
 }
-
-void FlowCache::add(const PacketEvent& packet, std::vector<FlowRecord>& out) {
-  add_impl(packet, out);
-}
-
-void FlowCache::flush_expired(std::uint64_t now_ms,
-                              std::vector<FlowRecord>& out) {
-  flush_expired_impl(now_ms, out);
-}
-
-void FlowCache::flush_all(std::vector<FlowRecord>& out) {
-  flush_all_impl(out);
-}
-
-void FlowCache::add(const PacketEvent& packet, FlowBatch& out) {
-  add_impl(packet, out);
-}
-
-void FlowCache::flush_expired(std::uint64_t now_ms, FlowBatch& out) {
-  flush_expired_impl(now_ms, out);
-}
-
-void FlowCache::flush_all(FlowBatch& out) { flush_all_impl(out); }
 
 }  // namespace haystack::flow

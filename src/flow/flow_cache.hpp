@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/flow_batch.hpp"
 #include "flow/record.hpp"
 
 namespace haystack::flow {
@@ -35,8 +34,9 @@ struct FlowCacheConfig {
 /// Packet-to-flow aggregation with timeout-driven expiry.
 ///
 /// Call add() per packet (monotonically non-decreasing timestamps expected;
-/// reordering within the idle timeout is tolerated), then flush_expired()
-/// periodically and flush_all() at end of input.
+/// reordering within the idle timeout is tolerated) and flush_all() at end
+/// of input. add() sweeps out idle and active-expired flows itself, at most
+/// once per idle timeout.
 class FlowCache {
  public:
   explicit FlowCache(FlowCacheConfig config) : config_{config} {}
@@ -45,31 +45,16 @@ class FlowCache {
   /// appended to `out`.
   void add(const PacketEvent& packet, std::vector<FlowRecord>& out);
 
-  /// Expires every flow idle or active beyond its timeout at `now_ms`.
-  void flush_expired(std::uint64_t now_ms, std::vector<FlowRecord>& out);
-
   /// Expires everything unconditionally.
   void flush_all(std::vector<FlowRecord>& out);
-
-  // FlowBatch-sink overloads (ISSUE 6): identical expiry semantics, but
-  // expired records append into SoA columns. Records are copied by value
-  // into the batch, so an arena-recycled batch never references cache
-  // memory (and vice versa) — the emergency-expiry lifetime contract the
-  // stress tier pins down. An emergency expiry can flush up to
-  // max_entries records into one batch; BatchArena trims that capacity
-  // when the lease is released.
-  void add(const PacketEvent& packet, FlowBatch& out);
-  void flush_expired(std::uint64_t now_ms, FlowBatch& out);
-  void flush_all(FlowBatch& out);
 
   [[nodiscard]] std::size_t active_flows() const noexcept {
     return cache_.size();
   }
 
   /// Times the cache hit max_entries and flushed wholesale. A nonzero
-  /// value means max_entries is undersized for the traffic mix (ISSUE 5:
-  /// surfaced as a metric and a kCacheEmergencyExpiry flight event by the
-  /// ingest pipeline).
+  /// value means max_entries is undersized for the traffic mix. No metric
+  /// or flight event carries it; callers read it here.
   [[nodiscard]] std::uint64_t emergency_expiries() const noexcept {
     return emergency_expiries_;
   }
@@ -79,13 +64,8 @@ class FlowCache {
     FlowRecord record;
   };
 
-  // Shared implementation over the two sink shapes; defined in the .cpp.
-  template <typename Out>
-  void add_impl(const PacketEvent& packet, Out& out);
-  template <typename Out>
-  void flush_expired_impl(std::uint64_t now_ms, Out& out);
-  template <typename Out>
-  void flush_all_impl(Out& out);
+  /// Expires every flow idle or active beyond its timeout at `now_ms`.
+  void flush_expired(std::uint64_t now_ms, std::vector<FlowRecord>& out);
 
   FlowCacheConfig config_;
   std::unordered_map<FlowKey, Entry> cache_;

@@ -39,7 +39,8 @@ enum class EventKind : std::uint8_t {
   kTemplateEvicted,      ///< parked data discarded at the buffer bound
   kBackpressureStall,    ///< producer blocked on a full queue (a = depth)
   kSlowWave,             ///< stage wave over threshold (a = ns, b = items)
-  kCacheEmergencyExpiry, ///< metering cache hit max_entries (a = flushed)
+  kCacheEmergencyExpiry, ///< no emitter; kept so that the kinds after
+                         ///< it keep their recorded values
   kCheckpointSave,       ///< evidence checkpoint written (a = entries, b = bytes)
   kCheckpointRestore,    ///< checkpoint restored (a = entries, b = bytes)
   kCheckpointRejected,   ///< restore refused a blob (a = bytes)

@@ -13,19 +13,17 @@ namespace haystack::obs {
 
 /// Stage tags used as the `source` of pipeline-stage flight events
 /// (kBackpressureStall, kSlowWave) and as the {"stage", ...} label text.
+/// Recorded flight tapes carry these numbers, so a tag never changes its
+/// number and 1 and 3 stay unused.
 enum StageTag : std::uint32_t {
-  kStageMeter = 1,
   kStageDecode = 2,
-  kStageNormalize = 3,
   kStageDetect = 4,
   kStageDecodeBody = 5,
 };
 
 [[nodiscard]] constexpr const char* stage_name(std::uint32_t tag) noexcept {
   switch (tag) {
-    case kStageMeter: return "meter";
     case kStageDecode: return "decode";
-    case kStageNormalize: return "normalize";
     case kStageDetect: return "detect";
     case kStageDecodeBody: return "decode_body";
     default: return "unknown";

@@ -58,16 +58,10 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
                                       .recorder = &obs_->recorder}},
       ipfix_{flow::ipfix::CollectorConfig{.dedup_window = config.dedup_window,
                                           .recorder = &obs_->recorder}},
-      cache_{config.metering},
       datagrams_{obs_->registry.counter("pipeline_datagrams_total")},
       malformed_{obs_->registry.counter("pipeline_malformed_datagrams_total")},
       unknown_version_{
           obs_->registry.counter("pipeline_unknown_version_total")},
-      packets_metered_{
-          obs_->registry.counter("pipeline_packets_metered_total")},
-      metered_flows_{obs_->registry.counter("pipeline_metered_flows_total")},
-      metered_packets_out_{
-          obs_->registry.counter("pipeline_metered_packets_out_total")},
       flows_decoded_{obs_->registry.counter("pipeline_flows_decoded_total")},
       flows_in_{obs_->registry.counter("pipeline_flows_in_total")},
       observations_{obs_->registry.counter("pipeline_observations_total")},
@@ -75,12 +69,8 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
           obs_->registry.counter("pipeline_observations_direct_total")},
       dropped_direction_{
           obs_->registry.counter("pipeline_dropped_direction_total")},
-      emergency_expiries_{
-          obs_->registry.counter("metering_emergency_expiries_total")},
       self_check_failures_{
           obs_->registry.counter("pipeline_self_check_failures_total")},
-      cache_depth_{obs_->registry.gauge("metering_cache_depth")},
-      cache_high_water_{obs_->registry.gauge("metering_cache_high_water")},
       decode_ns_per_record_{
           obs_->registry.histogram("decode_batch_ns_per_record")},
       decode_recovered_{
@@ -97,10 +87,8 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
     inst.wave_items = obs_->registry.histogram("stage_wave_items", labels);
     return inst;
   };
-  meter_obs_ = make_stage(obs::kStageMeter);
   decode_obs_ = make_stage(obs::kStageDecode);
   body_obs_ = make_stage(obs::kStageDecodeBody);
-  normalize_obs_ = make_stage(obs::kStageNormalize);
   auto stage_config = [this](const StageInstruments& inst, std::uint32_t tag) {
     ShardPoolConfig stage{.shards = 1,
                          .queue_capacity = config_.queue_capacity,
@@ -112,11 +100,6 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
     stage.slow_wave_ns = config_.slow_wave_ns;
     return stage;
   };
-  normalize_ = std::make_unique<ShardPool<DecodedBatch>>(
-      stage_config(normalize_obs_, obs::kStageNormalize),
-      [this](unsigned, std::vector<DecodedBatch>& wave) {
-        normalize_wave(wave);
-      });
   // Body stage: one queue per worker, each bounded to the datagrams the
   // decode queue holds (a batch is at most one decode wave). Workers take
   // one batch per wake-up, since each commit waits for its turn.
@@ -133,9 +116,6 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
   decode_ = std::make_unique<ShardPool<Datagram>>(
       stage_config(decode_obs_, obs::kStageDecode),
       [this](unsigned, std::vector<Datagram>& wave) { decode_wave(wave); });
-  metering_ = std::make_unique<ShardPool<MeterItem>>(
-      stage_config(meter_obs_, obs::kStageMeter),
-      [this](unsigned, std::vector<MeterItem>& wave) { meter_wave(wave); });
 }
 
 IngestPipeline::~IngestPipeline() { shutdown(); }
@@ -149,27 +129,20 @@ bool IngestPipeline::push_datagram(std::vector<std::uint8_t> bytes,
   return true;
 }
 
-bool IngestPipeline::push_packet(const flow::PacketEvent& packet,
-                                 util::HourBin hour) {
-  if (closed_.load(std::memory_order_acquire)) return false;
-  obs_->recorder.set_hour(hour);
-  if (!metering_->submit(0, MeterItem{hour, packet})) return false;
-  packets_metered_->add(1);
-  return true;
-}
-
 bool IngestPipeline::push_flows(std::vector<flow::FlowRecord> flows,
                                 util::HourBin hour) {
   if (closed_.load(std::memory_order_acquire)) return false;
   obs_->recorder.set_hour(hour);
-  const std::uint64_t n = flows.size();
-  auto rows = arena_.acquire();
-  rows->reserve(n);
-  for (const auto& rec : flows) rows->push(rec);
-  if (!normalize_->submit(0, DecodedBatch{hour, std::move(rows)})) {
-    return false;
-  }
-  flows_in_->add(n);
+  // Call-local batch and wave: any number of callers may be in here at
+  // once. flows_in is booked before emit() so that, once drained, no
+  // observation was counted without the flow it came from.
+  flow::FlowBatch rows;
+  rows.reserve(flows.size());
+  for (const auto& rec : flows) rows.push(rec);
+  NormalizedWave out;
+  normalize_rows(rows, hour, out);
+  flows_in_->add(flows.size());
+  emit(out);
   return true;
 }
 
@@ -186,10 +159,8 @@ void IngestPipeline::drain() {
   // Topological order: each stage's drain happens-before the next stage's
   // submitted-counter snapshot, so anything a stage forwarded downstream
   // is covered by the downstream barrier.
-  metering_->drain();
   decode_->drain();
   bodies_->drain();
-  normalize_->drain();
   detector_.drain();
 }
 
@@ -199,52 +170,11 @@ void IngestPipeline::shutdown() {
   closed_.store(true, std::memory_order_release);
   // Stop in dependency order: each stage's consumers downstream are still
   // alive while it drains, so nothing deadlocks on a full queue.
-  metering_->stop();
-  // The metering worker is gone; flush the cache remnants on this thread
-  // (reusing its scratch lease, which the stopped worker no longer owns).
-  if (!meter_rows_) meter_rows_ = arena_.acquire();
-  cache_.flush_all(*meter_rows_);
-  cache_depth_->set(cache_.active_flows());
-  emit_metered(std::move(meter_rows_),
-               last_meter_hour_.load(std::memory_order_relaxed));
   decode_->stop();
   bodies_->stop();
-  normalize_->stop();
   detector_.drain();  // detect stage stays alive for reads
   obs_->recorder.record(obs::EventKind::kPipelineShutdown, 0,
                         observations_->value(), datagrams_->value());
-}
-
-void IngestPipeline::meter_wave(std::vector<MeterItem>& wave) {
-  for (const MeterItem& item : wave) {
-    last_meter_hour_.store(item.hour, std::memory_order_relaxed);
-    if (!meter_rows_) meter_rows_ = arena_.acquire();
-    cache_.add(item.packet, *meter_rows_);
-    const std::uint64_t panics = cache_.emergency_expiries();
-    if (panics != last_emergency_expiries_) {
-      emergency_expiries_->add(panics - last_emergency_expiries_);
-      obs_->recorder.record(obs::EventKind::kCacheEmergencyExpiry,
-                            obs::kStageMeter, meter_rows_->size(),
-                            panics - last_emergency_expiries_);
-      last_emergency_expiries_ = panics;
-    }
-    const std::size_t depth = cache_.active_flows();
-    cache_depth_->set(depth);
-    cache_high_water_->max_of(depth);
-    if (!meter_rows_->empty()) {
-      emit_metered(std::move(meter_rows_), item.hour);
-    }
-  }
-}
-
-void IngestPipeline::emit_metered(flow::BatchArena::Lease rows,
-                                  util::HourBin hour) {
-  if (!rows || rows->empty()) return;
-  metered_flows_->add(rows->size());
-  std::uint64_t packets = 0;
-  for (const std::uint64_t p : rows->packets) packets += p;
-  metered_packets_out_->add(packets);
-  normalize_->submit(0, DecodedBatch{hour, std::move(rows)});
 }
 
 void IngestPipeline::decode_wave(std::vector<Datagram>& wave) {
@@ -317,13 +247,6 @@ void IngestPipeline::body_wave(unsigned worker, std::vector<BodyBatch>& wave) {
   }
 }
 
-void IngestPipeline::normalize_wave(std::vector<DecodedBatch>& wave) {
-  for (const DecodedBatch& batch : wave) {
-    normalize_rows(*batch.rows, batch.hour, normalize_out_);
-  }
-  emit(normalize_out_);
-}
-
 void IngestPipeline::normalize_rows(const flow::FlowBatch& rows,
                                     util::HourBin hour,
                                     NormalizedWave& out) const {
@@ -375,10 +298,8 @@ void IngestPipeline::emit(NormalizedWave& out) {
 
 IngestPipeline::Stats IngestPipeline::stats() const {
   Stats out;
-  out.metering = metering_->stats_total();
   out.decode = decode_->stats_total();
   out.decode_body = bodies_->stats_total();
-  out.normalize = normalize_->stats_total();
   out.detect_shards.reserve(detector_.shard_count());
   for (unsigned s = 0; s < detector_.shard_count(); ++s) {
     out.detect_shards.push_back(detector_.shard_queue_stats(s));
@@ -387,19 +308,12 @@ IngestPipeline::Stats IngestPipeline::stats() const {
   out.datagrams = datagrams_->value();
   out.malformed_datagrams = malformed_->value();
   out.unknown_version = unknown_version_->value();
-  out.packets_metered = packets_metered_->value();
-  out.metered_flows = metered_flows_->value();
-  out.metered_packets_out = metered_packets_out_->value();
   out.flows_decoded = flows_decoded_->value();
   out.flows_in = flows_in_->value();
   out.observations = observations_->value();
   out.observations_direct = observations_direct_->value();
   out.dropped_direction = dropped_direction_->value();
-  out.emergency_expiries = emergency_expiries_->value();
   out.self_check_failures = self_check_failures_->value();
-  out.metering_depth = static_cast<std::size_t>(cache_depth_->value());
-  out.metering_high_water =
-      static_cast<std::size_t>(cache_high_water_->value());
   out.decode_recovered_records =
       static_cast<std::uint64_t>(decode_recovered_->value());
   out.decode_parked_flowsets =
@@ -417,35 +331,23 @@ IngestPipeline::SelfCheck IngestPipeline::self_check() {
     out.detail += detail;
   };
   // Flow conservation: every record that was normalized — out of the
-  // decoders (in the body stage), the metering cache or push_flows (in
-  // the normalize stage) — became exactly one observation or one
-  // direction-drop. Direct observations bypass normalization, so they are
-  // subtracted from the observation total.
+  // decoders (by a body worker) or through push_flows (on its caller's
+  // thread) — became exactly one observation or one direction-drop.
+  // Direct observations bypass normalization, so they are subtracted from
+  // the observation total.
   const std::uint64_t normalized = s.observations - s.observations_direct;
-  const std::uint64_t entered =
-      s.metered_flows + s.flows_decoded + s.flows_in;
+  const std::uint64_t entered = s.flows_decoded + s.flows_in;
   if (normalized + s.dropped_direction != entered) {
     fail("flow conservation: " + std::to_string(normalized) +
          " normalized + " + std::to_string(s.dropped_direction) +
          " dropped != " + std::to_string(entered) + " entered");
   }
-  // Packet conservation through the metering cache: once the cache is
-  // empty (after shutdown()'s flush), every metered packet must have left
-  // inside an expired flow record.
-  if (s.metering_depth == 0 &&
-      s.packets_metered != s.metered_packets_out) {
-    fail("packet conservation: " + std::to_string(s.packets_metered) +
-         " metered != " + std::to_string(s.metered_packets_out) +
-         " emitted with empty cache");
-  }
   // Queue sanity: no stage may report consuming more than was produced.
   const struct {
     const char* name;
     const telemetry::StageStats& st;
-  } stages[] = {{"metering", s.metering},
-                {"decode", s.decode},
+  } stages[] = {{"decode", s.decode},
                 {"decode_body", s.decode_body},
-                {"normalize", s.normalize},
                 {"detect", s.detect}};
   for (const auto& stage : stages) {
     if (stage.st.dequeued > stage.st.enqueued) {

@@ -4,19 +4,19 @@
 // minutes" from sampled NetFlow/IPFIX at a 15M-subscriber ISP (Sec. 6) —
 // rests on sustained ingest throughput, so detection runs as a streaming
 // service: concurrent stages connected by bounded queues with blocking
-// backpressure, not a batch replay.
+// backpressure, not a batch replay. The routers meter packets into flows
+// and export them (Secs. 3 and 6); the pipeline sees only their exports.
 //
-//   push_datagram ─▶ [header pass] ─▶ [bodies × W] ──┐
-//   push_packet ──▶ [metering] ──┐                   ├─▶ [detect × shards]
-//   push_flows ──────────────────┴─▶ [normalize] ────┤
-//   push_observations ───────────────────────────────┘
+//   push_datagram ─▶ [header pass] ─▶ [bodies × W] ─┐
+//   push_flows ──── normalize (caller's thread) ────┼─▶ [detect × shards]
+//   push_observations ──────────────────────────────┘
 //
 // Each bracketed stage is a worker pool over BoundedQueues (the detect
 // stage is the ShardedDetector's persistent per-shard pool); a full queue
 // blocks the producer, so overload propagates back to the datagram source
-// instead of growing memory. The intake stages start their threads on
-// their first input, so a pipeline fed only observations runs only its
-// shard workers.
+// instead of growing memory. The datagram path's two stages start their
+// threads on the first datagram, so a pipeline fed only flows or
+// observations runs only its shard workers.
 //
 // Datagram decode is split in two. The header pass — one thread, in push
 // order — sniffs the version word (NetFlow v9 or IPFIX) and runs the
@@ -26,20 +26,19 @@
 // them, and a ticket. W = max(1, usable CPUs − 1) body workers
 // ([bodies × W]) take batch t at worker t mod W, execute the jobs'
 // compiled plans, normalize the rows, and hand them to the shards when
-// their ticket comes up, one enqueue per batch. Datagrams never cross the
-// normalize queue, which serves push_flows and the metering stage only.
-// drain() is a topological quiescence barrier; shutdown() closes intake,
-// flushes the metering cache, and drains every stage in dependency order.
-// Per-stage depth/throughput/stall counters surface as
-// telemetry::StageStats.
+// their ticket comes up, one enqueue per batch. push_flows normalizes on
+// its caller's thread and enqueues like push_observations does.
+// drain() is a topological quiescence barrier; shutdown() closes intake
+// and drains every stage in dependency order. Per-stage
+// depth/throughput/stall counters surface as telemetry::StageStats.
 //
 // Determinism: the header pass scans datagrams in push order, body
-// batches reach the shards in ticket (= push) order for any W, flow
-// batches normalize in push order, and per-subscriber observation order
-// is preserved through the shard queues — so the final evidence map is
-// bit-for-bit identical to a synchronous replay (asserted by
-// tests/differential_test.cpp for any shard count, queue capacity and
-// body-worker count).
+// batches reach the shards in ticket (= push) order for any W, and
+// per-subscriber observation order is preserved through the shard queues
+// — so the final evidence map is bit-for-bit identical to a synchronous
+// replay (asserted by tests/differential_test.cpp for any shard count,
+// queue capacity and body-worker count). Concurrent push_flows callers
+// are ordered only per caller, as concurrent push_observations are.
 #pragma once
 
 #include <atomic>
@@ -53,7 +52,6 @@
 
 #include "core/sharded_detector.hpp"
 #include "flow/flow_batch.hpp"
-#include "flow/flow_cache.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v9.hpp"
 #include "flow/template_plan.hpp"
@@ -65,8 +63,8 @@ namespace haystack::pipeline {
 
 /// Maps a decoded flow record to a direction-normalized observation;
 /// nullopt drops the flow from analysis (e.g. no server-looking side).
-/// Called concurrently from several stage threads (every body worker and
-/// the normalize stage), so it must be safe to call from many threads.
+/// Called concurrently from every body worker and from every push_flows
+/// caller's thread, so it must be safe to call from many threads.
 using Normalizer = std::function<std::optional<core::Observation>(
     const flow::FlowRecord&, util::HourBin)>;
 
@@ -77,14 +75,12 @@ using Normalizer = std::function<std::optional<core::Observation>(
 
 struct IngestConfig {
   unsigned shards = 4;
-  /// Per-stage queue capacity, in items (datagrams / flow batches /
-  /// observation chunks respectively).
+  /// Per-stage queue capacity, in items (datagrams / observation chunks
+  /// respectively).
   std::size_t queue_capacity = 1024;
   /// Adaptive-batching bound per consumer wake-up.
   std::size_t max_wave = 64;
   core::DetectorConfig detector{};
-  /// Metering stage (packet intake) flow cache.
-  flow::FlowCacheConfig metering{};
   /// Decode-stage duplicate-suppression window (datagrams per source).
   std::size_t dedup_window = 64;
   /// Key for default_normalizer when no normalizer is supplied.
@@ -120,12 +116,9 @@ class IngestPipeline {
   /// decode queue is full. False after shutdown().
   bool push_datagram(std::vector<std::uint8_t> bytes, util::HourBin hour);
 
-  /// Router-side packet intake: metered through the FlowCache into flow
-  /// records (active/idle/emergency expiry), then normalized and
-  /// detected. False after shutdown().
-  bool push_packet(const flow::PacketEvent& packet, util::HourBin hour);
-
-  /// Already-decoded flow records (enter at the normalize stage).
+  /// Already-decoded flow records, all of `hour`: normalized on the
+  /// calling thread, then enqueued to the detect stage. Safe to call from
+  /// many threads at once. False after shutdown().
   bool push_flows(std::vector<flow::FlowRecord> flows, util::HourBin hour);
 
   /// Already-normalized observations (enter at the detect stage).
@@ -133,12 +126,10 @@ class IngestPipeline {
 
   /// Topological quiescence barrier: once it returns, every input pushed
   /// before the call has flowed through all stages into the evidence map.
-  /// The metering cache keeps its resident (unexpired) flows.
   void drain();
 
-  /// Drain-then-stop: refuses new input, flushes the metering cache,
-  /// drains and joins every stage in dependency order. Idempotent; the
-  /// detector stays readable afterwards.
+  /// Drain-then-stop: refuses new input, drains and joins every stage in
+  /// dependency order. Idempotent; the detector stays readable afterwards.
   void shutdown();
 
   /// The detect stage. Reads are safe any time — they are served from
@@ -164,27 +155,22 @@ class IngestPipeline {
   /// reads the registry series of the same quantity, so this struct and a
   /// scrape can never disagree.
   struct Stats {
-    telemetry::StageStats metering;   ///< packet queue
     telemetry::StageStats decode;     ///< datagram queue (header pass)
     telemetry::StageStats decode_body;  ///< body-batch queues, summed
-    telemetry::StageStats normalize;  ///< flow-batch queue
+    /// Always zero: no normalize queue exists (body workers and push_flows
+    /// callers normalize). Kept only while benches still read it.
+    telemetry::StageStats normalize;
     telemetry::StageStats detect;     ///< all shard queues aggregated
     std::vector<telemetry::StageStats> detect_shards;
     std::uint64_t datagrams = 0;           ///< accepted by push_datagram
     std::uint64_t malformed_datagrams = 0; ///< rejected by the codecs
     std::uint64_t unknown_version = 0;     ///< unsniffable version word
-    std::uint64_t packets_metered = 0;     ///< accepted by push_packet
-    std::uint64_t metered_flows = 0;       ///< records the cache expired
-    std::uint64_t metered_packets_out = 0; ///< packet conservation check
     std::uint64_t flows_decoded = 0;       ///< records out of the codecs
     std::uint64_t flows_in = 0;            ///< accepted by push_flows
     std::uint64_t observations = 0;        ///< entered the detect stage
     std::uint64_t observations_direct = 0; ///< via push_observations
     std::uint64_t dropped_direction = 0;   ///< normalizer returned nullopt
-    std::uint64_t emergency_expiries = 0;  ///< metering cache panics
     std::uint64_t self_check_failures = 0; ///< conservation violations
-    std::size_t metering_depth = 0;        ///< resident cache flows
-    std::size_t metering_high_water = 0;   ///< max resident cache flows
     /// Decode-stage template-recovery telemetry (nf9 + IPFIX summed),
     /// exact after drain(): records decoded out of parked flowsets/sets,
     /// and flowsets/sets ever parked awaiting a template.
@@ -203,10 +189,9 @@ class IngestPipeline {
 
   /// Conservation self-check (ISSUE 5). Call after drain(): verifies that
   /// every flow that entered any intake left through exactly one of
-  /// {observation, direction-drop}, and — once shutdown() has flushed the
-  /// metering cache — that metered packets are conserved through the
-  /// cache. A violation bumps pipeline_self_check_failures_total, records
-  /// a kSelfCheckFailed flight event, and is returned with a reason.
+  /// {observation, direction-drop}. A violation bumps
+  /// pipeline_self_check_failures_total, records a kSelfCheckFailed flight
+  /// event, and is returned with a reason.
   struct SelfCheck {
     bool ok = true;
     std::string detail;  ///< empty when ok
@@ -214,10 +199,6 @@ class IngestPipeline {
   SelfCheck self_check();
 
  private:
-  struct MeterItem {
-    util::HourBin hour = 0;
-    flow::PacketEvent packet;
-  };
   struct Datagram {
     util::HourBin hour = 0;
     std::vector<std::uint8_t> bytes;
@@ -231,16 +212,9 @@ class IngestPipeline {
     std::vector<std::uint32_t> job_ends;
     std::vector<flow::plan::BodyJob> jobs;
   };
-  /// Normalize-queue item (ISSUE 6): an arena-leased SoA batch. The lease
-  /// is released (batch returns to arena_'s pool) when the item is
-  /// consumed, so rows never outlive a wave.
-  struct DecodedBatch {
-    util::HourBin hour = 0;
-    flow::BatchArena::Lease rows;
-  };
-  /// One stage wave's observations, normalized under one pinned rule
-  /// version and handed to the shards in one enqueue call. Each stage
-  /// worker owns one and reuses its capacity.
+  /// One body batch's (or one push_flows call's) observations, normalized
+  /// under one pinned rule version and handed to the shards in one enqueue
+  /// call. Each body worker owns one and reuses its capacity.
   struct NormalizedWave {
     std::shared_ptr<const core::CompiledRuleVersion> version;
     std::vector<core::InternedObs> interned;  ///< stock normalizer
@@ -248,14 +222,11 @@ class IngestPipeline {
     std::uint64_t dropped = 0;                ///< normalizer returned nullopt
   };
 
-  void meter_wave(std::vector<MeterItem>& wave);
   /// The header pass: scans a wave and hands it to a body worker.
   void decode_wave(std::vector<Datagram>& wave);
   void body_wave(unsigned worker, std::vector<BodyBatch>& wave);
-  void normalize_wave(std::vector<DecodedBatch>& wave);
-  void emit_metered(flow::BatchArena::Lease rows, util::HourBin hour);
-  /// Row → observation conversion, shared by the body and normalize
-  /// stages: appends `rows` (all of `hour`) to `out`.
+  /// Row → observation conversion, shared by the body workers and
+  /// push_flows: appends `rows` (all of `hour`) to `out`.
   void normalize_rows(const flow::FlowBatch& rows, util::HourBin hour,
                       NormalizedWave& out) const;
   /// Books `out`'s counters, enqueues its observations, and empties it.
@@ -277,16 +248,8 @@ class IngestPipeline {
     std::shared_ptr<obs::Histogram> wave_ns;
     std::shared_ptr<obs::Histogram> wave_items;
   };
-  StageInstruments meter_obs_;
   StageInstruments decode_obs_;
   StageInstruments body_obs_;
-  StageInstruments normalize_obs_;
-
-  // Wave-batch arena. Declared before every stage pool (and the scratch
-  // lease below) so leases held in queue items or stage state are
-  // destroyed before the arena — the lifetime contract of
-  // flow::BatchArena (DESIGN.md §9).
-  flow::BatchArena arena_;
 
   // Declaration order is reverse-topological so default destruction (after
   // shutdown()) tears down consumers last-to-first.
@@ -295,7 +258,6 @@ class IngestPipeline {
   /// them. Constructed (in the ctor body) right after detector_.
   std::unique_ptr<serve::ControlPlane> control_;
   core::ShardedDetector detector_;
-  std::unique_ptr<ShardPool<DecodedBatch>> normalize_;
 
   // Body stage. Each worker owns the batch its jobs decode into and the
   // wave its rows normalize to; they outlive the pool that uses them.
@@ -312,22 +274,12 @@ class IngestPipeline {
   std::unique_ptr<ShardPool<BodyBatch>> bodies_;
 
   std::unique_ptr<ShardPool<Datagram>> decode_;
-  std::unique_ptr<ShardPool<MeterItem>> metering_;
 
   // Header-pass state (touched only by the decode worker): codecs and the
   // next body batch's ticket.
   flow::nf9::Collector nf9_;
   flow::ipfix::Collector ipfix_;
   std::uint64_t next_ticket_ = 0;
-  NormalizedWave normalize_out_;  // normalize worker only
-
-  // Metering-stage state (touched only by the metering worker, except the
-  // post-stop flush in shutdown()). meter_rows_ is the lazily-acquired
-  // scratch lease expired flows accumulate into between emissions.
-  flow::FlowCache cache_;
-  flow::BatchArena::Lease meter_rows_;
-  std::atomic<std::uint32_t> last_meter_hour_{0};
-  std::uint64_t last_emergency_expiries_ = 0;  // metering worker only
 
   std::atomic<bool> closed_{false};
   bool shutdown_done_ = false;
@@ -339,18 +291,12 @@ class IngestPipeline {
   std::shared_ptr<obs::Counter> datagrams_;
   std::shared_ptr<obs::Counter> malformed_;
   std::shared_ptr<obs::Counter> unknown_version_;
-  std::shared_ptr<obs::Counter> packets_metered_;
-  std::shared_ptr<obs::Counter> metered_flows_;
-  std::shared_ptr<obs::Counter> metered_packets_out_;
   std::shared_ptr<obs::Counter> flows_decoded_;
   std::shared_ptr<obs::Counter> flows_in_;
   std::shared_ptr<obs::Counter> observations_;
   std::shared_ptr<obs::Counter> observations_direct_;
   std::shared_ptr<obs::Counter> dropped_direction_;
-  std::shared_ptr<obs::Counter> emergency_expiries_;
   std::shared_ptr<obs::Counter> self_check_failures_;
-  std::shared_ptr<obs::Gauge> cache_depth_;
-  std::shared_ptr<obs::Gauge> cache_high_water_;
   /// Per-batch body-decode cost (recorded by the body workers) and
   /// template-recovery snapshots (set by the header pass), read by scrapes
   /// and stats().

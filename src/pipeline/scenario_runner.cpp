@@ -64,7 +64,7 @@ std::optional<StreamingReplayResult> replay_scenario_streaming(
     }
   }
   StreamingReplayResult result;
-  result.self_check = pipe.self_check();  // before shutdown seals the cache
+  result.self_check = pipe.self_check();  // drains every stage first
   pipe.shutdown();
   result.stats = pipe.stats();
   if (config.capture_observability) {

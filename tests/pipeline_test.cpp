@@ -279,41 +279,5 @@ TEST_F(PipelineTest, Version5DatagramCountsAsUnknownVersion) {
   EXPECT_EQ(stats.observations, 0u);
 }
 
-TEST_F(PipelineTest, MeteringStageEnforcesCacheBound) {
-  // FlowCache::max_entries driven from the streaming metering stage: the
-  // resident-flow high-water mark must respect the bound while every
-  // packet is conserved into exactly one exported flow.
-  pipeline::IngestConfig cfg;
-  cfg.shards = 2;
-  cfg.metering.max_entries = 64;
-  cfg.metering.active_timeout_ms = 3'600'000;  // only the bound can expire
-  cfg.metering.idle_timeout_ms = 3'600'000;
-  pipeline::IngestPipeline pipe{rules_->hitlist, *rules_, cfg};
-
-  constexpr std::uint64_t kPackets = 5000;
-  for (std::uint64_t i = 0; i < kPackets; ++i) {
-    flow::PacketEvent pkt;
-    pkt.key.src = net::IpAddress::v4(0x0a000001u);
-    pkt.key.dst =
-        net::IpAddress::v4(0xC0A80000u + static_cast<std::uint32_t>(i % 97));
-    pkt.key.src_port = static_cast<std::uint16_t>(i);  // distinct keys
-    pkt.key.dst_port = 443;
-    pkt.bytes = 64;
-    pkt.timestamp_ms = 1000 + i;
-    ASSERT_TRUE(pipe.push_packet(pkt, /*hour=*/0));
-  }
-  pipe.shutdown();
-
-  const auto stats = pipe.stats();
-  EXPECT_EQ(stats.packets_metered, kPackets);
-  EXPECT_GT(stats.metering_high_water, 0u);
-  EXPECT_LE(stats.metering_high_water, cfg.metering.max_entries);
-  EXPECT_EQ(stats.metered_flows, kPackets);        // one flow per key
-  EXPECT_EQ(stats.metered_packets_out, kPackets);  // conservation
-  EXPECT_EQ(stats.metering_depth, 0u);             // flushed at shutdown
-  EXPECT_EQ(stats.observations, kPackets);
-  EXPECT_EQ(pipe.detector().stats().flows, kPackets);
-}
-
 }  // namespace
 }  // namespace haystack

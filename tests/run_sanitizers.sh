@@ -12,9 +12,12 @@
 # explicit second pass so the acceptance workload is visible in the log
 # even when the full suite is trimmed. TSan runs the threaded workloads:
 # the differential sweep (whose per-scenario shard sweep hammers
-# ShardedDetector worker threads and the streaming IngestPipeline), the
-# concurrency stress/soak suite (ctest label `stress`: backpressure,
-# shutdown mid-stream, restart-after-drain), the observability suite
+# ShardedDetector worker threads and the streaming IngestPipeline's two
+# intake stages, the header pass and the body workers), the concurrency
+# stress/soak suite (ctest label `stress`: backpressure, shutdown
+# mid-stream, restart-after-drain, the body workers' ordered commit, and
+# concurrent push_flows callers, which run the normalizer on their own
+# threads), the observability suite
 # (ctest label `obs`: concurrent scrape-while-ingesting under load,
 # ISSUE 5), the multi-vantage suite (ctest label `vantage`: concurrent
 # aggregator offer/query, ISSUE 7), the live control plane suite (ctest

@@ -372,12 +372,8 @@ TEST_F(PipelineStressTest, TinyCapacityDatagramSoak) {
   EXPECT_EQ(stats.flows_decoded, flows_sent);
   EXPECT_EQ(stats.observations, flows_sent);
   EXPECT_EQ(pipe.detector().stats().flows, flows_sent);
-  // Datagrams never cross the normalize queue.
-  EXPECT_EQ(stats.normalize.enqueued, 0u);
   // Capacity-1 queues must have produced real backpressure somewhere.
-  EXPECT_GT(stats.decode.producer_stalls + stats.normalize.producer_stalls +
-                stats.detect.producer_stalls,
-            0u);
+  EXPECT_GT(stats.decode.producer_stalls + stats.detect.producer_stalls, 0u);
 }
 
 TEST_F(PipelineStressTest, IngestOrderedCommitSurvivesDrainAndShutdown) {
@@ -528,6 +524,98 @@ TEST_F(PipelineStressTest, IngestOrderedCommitSurvivesDrainAndShutdown) {
   EXPECT_TRUE(check.ok) << check.detail;
 }
 
+TEST_F(PipelineStressTest, IngestConcurrentPushFlowsMatchesSerialReplay) {
+  // push_flows normalizes on its caller's thread, so the normalizer, the
+  // rule-version pin and the shard enqueue run on every producer at once.
+  // Four producers with disjoint subscribers push hour-ordered chunks into
+  // tiny shard queues; the evidence must equal a serial Detector fed the
+  // same observations, with the stock normalizer and with a custom one
+  // that drops a marked subset.
+  constexpr unsigned kProducers = 4;
+  constexpr std::size_t kChunk = 64;
+  struct Chunk {
+    util::HourBin hour;
+    std::vector<flow::FlowRecord> flows;
+  };
+  std::vector<std::vector<Chunk>> lanes(kProducers);
+  std::uint64_t total = 0;
+  std::uint64_t marked = 0;
+  for (const auto& obs : *batch_) {  // hour-ordered
+    auto& lane = lanes[obs.subscriber % kProducers];
+    if (lane.empty() || lane.back().hour != obs.hour ||
+        lane.back().flows.size() == kChunk) {
+      lane.push_back({obs.hour, {}});
+    }
+    flow::FlowRecord rec;
+    rec.key.src = net::IpAddress::v4(
+        0x0a000000u | static_cast<std::uint32_t>(obs.subscriber & 0xffffffu));
+    rec.key.dst = obs.server;
+    rec.key.src_port = total % 7 == 3 ? 9999 : 40'000;
+    rec.key.dst_port = obs.port;
+    rec.packets = obs.packets;
+    if (rec.key.src_port == 9999) ++marked;
+    lane.back().flows.push_back(rec);
+    ++total;
+  }
+  ASSERT_GT(marked, 0u);
+
+  const Normalizer stock = default_normalizer(IngestConfig{}.anonymization_key);
+  const Normalizer drop_marked =
+      [stock](const flow::FlowRecord& rec,
+              util::HourBin hour) -> std::optional<core::Observation> {
+    if (rec.key.src_port == 9999) return std::nullopt;
+    return stock(rec, hour);
+  };
+  for (const bool custom : {false, true}) {
+    SCOPED_TRACE(custom ? "custom normalizer" : "stock normalizer");
+    IngestConfig cfg;
+    cfg.shards = 3;
+    cfg.queue_capacity = 2;
+    IngestPipeline pipe{rules_->hitlist, *rules_, cfg,
+                        custom ? drop_marked : Normalizer{}};
+    std::latch go{kProducers};
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        go.arrive_and_wait();
+        for (const Chunk& chunk : lanes[p]) {
+          EXPECT_TRUE(pipe.push_flows(chunk.flows, chunk.hour));
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    pipe.drain();
+
+    // Serial replay: lane by lane, through the same normalizer.
+    const Normalizer& normalize = custom ? drop_marked : stock;
+    core::Detector reference{rules_->hitlist, *rules_, cfg.detector};
+    std::uint64_t dropped = 0;
+    for (const auto& lane : lanes) {
+      for (const Chunk& chunk : lane) {
+        for (const auto& rec : chunk.flows) {
+          if (const auto obs = normalize(rec, chunk.hour)) {
+            reference.observe(obs->subscriber, obs->server, obs->port,
+                              obs->packets, obs->hour);
+          } else {
+            ++dropped;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(dropped, custom ? marked : 0u);
+    const auto stats = pipe.stats();
+    EXPECT_EQ(stats.flows_in, total);
+    EXPECT_EQ(stats.dropped_direction, dropped);
+    EXPECT_EQ(stats.observations, total - dropped);
+    EXPECT_EQ(pipe.detector().stats().flows, total - dropped);
+    const auto check = pipe.self_check();
+    EXPECT_TRUE(check.ok) << check.detail;
+    const auto expected = snapshot(reference);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(snapshot(pipe.detector()), expected);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stage threads start on first use: a pipeline pays only for the intake
 // paths it is fed. Counted from /proc/self/task.
@@ -613,6 +701,18 @@ TEST(IngestLazyStart, StageThreadsStartOnFirstUse) {
         {{.subscriber = 1, .server = net::IpAddress::v4(0x0a010000U),
           .port = 443, .packets = 1, .hour = 0}}));
     pipe.drain();
+    EXPECT_TRUE(threads_settle_at(base + cfg.shards))
+        << process_threads() << " threads, " << base << " before";
+
+    // Flow intake normalizes on the caller's thread: still no new thread.
+    flow::FlowRecord rec;
+    rec.key.src = net::IpAddress::v4(0x0a800001U);
+    rec.key.dst = net::IpAddress::v4(0x0a010001U);
+    rec.key.dst_port = 443;
+    rec.packets = 1;
+    ASSERT_TRUE(pipe.push_flows({rec, rec}, 0));
+    pipe.drain();
+    EXPECT_EQ(pipe.stats().flows_in, 2u);
     EXPECT_TRUE(threads_settle_at(base + cfg.shards))
         << process_threads() << " threads, " << base << " before";
 
@@ -714,122 +814,6 @@ TEST(InternTableStress, ConcurrentInternAndLookupAgree) {
       EXPECT_EQ(seen[t][i], h) << "thread " << t << " name " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// ISSUE 6 satellite 5: FlowCache emergency expiry × arena-backed batches.
-// An emergency expiry dumps the whole cache into the currently leased
-// batch; the rows must be value copies (no references into cache memory —
-// ASan would flag a dangling read below), and the arena must trim the
-// ballooned capacity on release instead of pooling it forever.
-TEST(FlowCacheArenaStress, EmergencyExpiryRowsOutliveCacheAndArenaTrims) {
-  flow::BatchArena arena{{.max_pool = 4, .trim_rows = 64}};
-  constexpr std::size_t kMaxEntries = 128;
-
-  flow::BatchArena::Lease burst = arena.acquire();
-  {
-    flow::FlowCache cache{{.active_timeout_ms = 60'000,
-                           .idle_timeout_ms = 15'000,
-                           .max_entries = kMaxEntries}};
-    // Distinct keys, same timestamp: nothing times out, so the cache
-    // grows until the emergency bound flushes it wholesale.
-    for (std::uint32_t i = 0; i < 4 * kMaxEntries; ++i) {
-      flow::PacketEvent ev;
-      ev.key.src = net::IpAddress::v4(0x0A000000U + i);
-      ev.key.dst = net::IpAddress::v4(0x22000000U + i);
-      ev.key.src_port = static_cast<std::uint16_t>(1024 + (i % 50000));
-      ev.key.dst_port = 443;
-      ev.key.proto = 6;
-      ev.bytes = 100 + i;
-      ev.timestamp_ms = 1000;
-      cache.add(ev, *burst);
-    }
-    EXPECT_GT(cache.emergency_expiries(), 0u);
-    EXPECT_GT(burst->size(), kMaxEntries);
-    // The cache dies here; the batch rows must remain fully readable.
-  }
-  std::uint64_t total_bytes = 0;
-  for (std::size_t i = 0; i < burst->size(); ++i) {
-    total_bytes += burst->record(i).bytes;
-  }
-  EXPECT_GT(total_bytes, 0u);
-
-  const std::size_t burst_capacity = burst->capacity_rows();
-  EXPECT_GT(burst_capacity, 64u);
-  burst.reset();  // release: capacity above trim_rows must be trimmed
-
-  EXPECT_GT(arena.stats().trimmed, 0u);
-  flow::BatchArena::Lease reused = arena.acquire();
-  EXPECT_GT(arena.stats().reused, 0u);
-  EXPECT_LE(reused->capacity_rows(), 64u);
-}
-
-// Pipeline-level soak of the same interaction (stress label, TSan/ASan):
-// a tiny metering cache forces emergency expiries while concurrent
-// producers keep pushing packets; packet conservation through the cache
-// must survive the burst flushes, and every expired row must flow through
-// the normalize stage without referencing freed cache state.
-TEST(FlowCacheArenaStress, PipelineEmergencyExpirySoakConservesPackets) {
-  IngestConfig cfg;
-  cfg.shards = 2;
-  cfg.queue_capacity = 8;
-  cfg.metering.max_entries = 64;
-  cfg.metering.active_timeout_ms = 5'000;
-  cfg.metering.idle_timeout_ms = 1'000;
-  const auto rules = [] {
-    core::RuleSet rs;
-    core::DetectionRule rule;
-    rule.service = 0;
-    rule.name = "svc";
-    rule.level = core::Level::kManufacturer;
-    rule.monitored_domains = 4;
-    for (std::uint16_t m = 0; m < 4; ++m) {
-      rule.monitored_indices.push_back(m);
-      for (util::DayBin d = 0; d < 3; ++d) {
-        rs.hitlist.add(net::IpAddress::v4(0x22000000U + m), 443, d,
-                       {0, m});
-      }
-    }
-    rs.rules.push_back(std::move(rule));
-    return rs;
-  }();
-  IngestPipeline pipe{rules.hitlist, rules, cfg};
-
-  constexpr unsigned kProducers = 3;
-  constexpr std::uint32_t kPacketsPerProducer = 3000;
-  std::vector<std::thread> producers;
-  for (unsigned t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&pipe, t] {
-      for (std::uint32_t i = 0; i < kPacketsPerProducer; ++i) {
-        flow::PacketEvent ev;
-        // Mostly-distinct keys keep the tiny cache at its emergency
-        // bound; a sliver of hitlist-bound traffic exercises detection
-        // on the expired rows.
-        ev.key.src = net::IpAddress::v4(0x0A000000U + t * 1'000'000 + i);
-        ev.key.dst = i % 16 == 0
-                         ? net::IpAddress::v4(0x22000000U + (i % 4))
-                         : net::IpAddress::v4(0x33000000U + i);
-        ev.key.src_port = 40000;
-        ev.key.dst_port = 443;
-        ev.key.proto = 6;
-        ev.bytes = 64;
-        ev.timestamp_ms = 1000 + i;
-        if (!pipe.push_packet(ev, 1)) break;
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  pipe.drain();
-  pipe.shutdown();
-
-  const auto stats = pipe.stats();
-  EXPECT_EQ(stats.packets_metered, kProducers * kPacketsPerProducer);
-  EXPECT_GT(stats.emergency_expiries, 0u);
-  // Conservation: after shutdown's cache flush, every metered packet is
-  // accounted for in the expired flows.
-  EXPECT_EQ(stats.metered_packets_out, stats.packets_metered);
-  const auto check = pipe.self_check();
-  EXPECT_TRUE(check.ok) << check.detail;
 }
 
 }  // namespace

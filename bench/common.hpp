@@ -6,9 +6,9 @@
 // and fans per-bin detection results out to the caller.
 //
 // Environment knobs (all optional):
-//   HAYSTACK_LINES  — wild population size (default 80000; serve_bench and
-//                     vantage_bench override their own default to 20000,
-//                     and scale_bench to 1000000 — see README)
+//   HAYSTACK_LINES  — wild population size (default 80000; vantage_bench
+//                     overrides its own default to 20000, and scale_bench
+//                     to 1000000 — see README)
 //   HAYSTACK_SEED   — global simulation seed (default: the library default)
 #pragma once
 

@@ -6,7 +6,7 @@
 # size, so peak RSS is attributable). Each run's flows/sec and peak RSS
 # are compared against the matching row of the committed
 # BENCH_scale.json: a >5% throughput drop or a >10% peak-RSS growth
-# fails the gate — the same shape as bench/hotpath_gate.sh.
+# fails the gate.
 #
 #   bench/scale_gate.sh                      # gate the default 1M point
 #   HAYSTACK_SCALE_SET="1000000 5000000 15000000" \

@@ -76,30 +76,9 @@ ShardedDetector::ShardedDetector(const Hitlist& hitlist, const RuleSet& rules,
   // state.
   pipeline::ShardPoolConfig pool_config{.shards = n,
                                         .queue_capacity = queue_capacity,
-                                        .max_wave = 64};
-  if (obs != nullptr) {
-    // One wave-span series per shard: wave records happen on every worker
-    // wake-up, so a single shared histogram would put all workers on the
-    // same atomic cache lines — measured at >15% streaming-bench overhead
-    // at 8 shards versus ~1% with per-shard series.
-    detect_wave_ns_.reserve(n);
-    detect_wave_items_.reserve(n);
-    pool_config.wave_ns_by_shard.reserve(n);
-    pool_config.wave_items_by_shard.reserve(n);
-    for (unsigned s = 0; s < n; ++s) {
-      const obs::Labels stage{{"shard", std::to_string(s)},
-                              {"stage", obs::stage_name(obs::kStageDetect)}};
-      detect_wave_ns_.push_back(
-          obs->registry.histogram("stage_wave_ns", stage));
-      detect_wave_items_.push_back(
-          obs->registry.histogram("stage_wave_items", stage));
-      pool_config.wave_ns_by_shard.push_back(detect_wave_ns_.back().get());
-      pool_config.wave_items_by_shard.push_back(
-          detect_wave_items_.back().get());
-    }
-    pool_config.recorder = &obs->recorder;
-    pool_config.stage_tag = obs::kStageDetect;
-  }
+                                        .max_wave = 64,
+                                        .obs = obs,
+                                        .stage_tag = obs::kStageDetect};
   pool_ = std::make_unique<pipeline::ShardPool<Chunk>>(
       pool_config, [this](unsigned s, std::vector<Chunk>& wave) {
         handle_wave(s, wave);

@@ -2,13 +2,13 @@
 // epoch-published read side (ISSUE 8).
 //
 // The per-flow work is one hash lookup plus a bitset update, so a single
-// core already absorbs an ISP's sampled flow volume (see bench/
-// perf_pipeline). For headroom — or for replaying weeks of archived flows
-// "within minutes" — the detector shards by subscriber: evidence for one
-// subscriber lives in exactly one shard, shards share the immutable
-// compiled rule version, and each shard owns a long-lived worker thread
-// consuming its own bounded queue of observation chunks
-// (pipeline::ShardPool). Batches stream through persistent workers
+// core already absorbs an ISP's sampled flow volume (perfbench's
+// `pipeline.serial_flows_per_s`). For headroom — or for replaying weeks
+// of archived flows "within minutes" — the detector shards by
+// subscriber: evidence for one subscriber lives in exactly one shard,
+// shards share the immutable compiled rule version, and each shard owns a
+// long-lived worker thread consuming its own bounded queue of observation
+// chunks (pipeline::ShardPool). Batches stream through persistent workers
 // instead of spawning threads per batch, enqueue_batch() lets an upstream
 // pipeline stage keep feeding without a barrier, and blocking
 // backpressure bounds memory when producers outrun the shards.
@@ -111,8 +111,8 @@ class ShardedDetector {
   /// queue of `queue_capacity` entries. Shares `hitlist`/`rules` which
   /// must outlive the detector (or its first reload_rules()). When `obs`
   /// is non-null, each shard gets per-shard registry instruments (labels
-  /// {{"shard", N}}) including its own detect-stage wave histograms, and
-  /// the shard pool records backpressure/slow-wave flight events.
+  /// {{"shard", N}}), and the shard pool gives each worker its own
+  /// detect-stage wave series and records backpressure flight events.
   ShardedDetector(const Hitlist& hitlist, const RuleSet& rules,
                   const DetectorConfig& config, unsigned shards,
                   std::size_t queue_capacity = 1024,
@@ -372,10 +372,6 @@ class ShardedDetector {
   std::shared_ptr<obs::Counter> publishes_;
   std::shared_ptr<obs::Counter> reloads_;
   std::shared_ptr<obs::Gauge> version_gauge_;
-  // Keep the per-shard detect-stage wave histograms alive for the pool's
-  // lifetime (the pool config holds raw pointers into them).
-  std::vector<std::shared_ptr<obs::Histogram>> detect_wave_ns_;
-  std::vector<std::shared_ptr<obs::Histogram>> detect_wave_items_;
   // mutable: flushing the coalescing buffers and riding publish tokens
   // are logically const — they complete writes the API contract already
   // promised were visible.

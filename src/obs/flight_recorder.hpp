@@ -38,7 +38,8 @@ enum class EventKind : std::uint8_t {
   kTemplateRecovered,    ///< parked data decoded (a = records recovered)
   kTemplateEvicted,      ///< parked data discarded at the buffer bound
   kBackpressureStall,    ///< producer blocked on a full queue (a = depth)
-  kSlowWave,             ///< stage wave over threshold (a = ns, b = items)
+  kSlowWave,             ///< no emitter; kept so that the kinds after
+                         ///< it keep their recorded values
   kCacheEmergencyExpiry, ///< no emitter; kept so that the kinds after
                          ///< it keep their recorded values
   kCheckpointSave,       ///< evidence checkpoint written (a = entries, b = bytes)

@@ -11,13 +11,6 @@
 // Ownership: the registry hands out std::shared_ptr handles, so a metric
 // outlives both the registry snapshot that reads it and any component
 // that bumps it — scrape-during-teardown cannot dangle.
-//
-// Stripping: building with -DHAYSTACK_OBS_STRIPPED compiles
-// Histogram::record (and obs::SpanTimer) down to no-ops for the
-// instrumentation-overhead baseline (bench/obs_overhead.sh). Counters and
-// gauges stay live even when stripped: they replaced the pipeline's
-// pre-existing ad-hoc atomics one-for-one and back the Stats facades the
-// tier-1 tests assert on.
 #pragma once
 
 #include <array>
@@ -32,12 +25,6 @@
 #include <vector>
 
 namespace haystack::obs {
-
-#ifdef HAYSTACK_OBS_STRIPPED
-inline constexpr bool kStripped = true;
-#else
-inline constexpr bool kStripped = false;
-#endif
 
 /// Monotonic event counter. Wait-free.
 class Counter {
@@ -62,13 +49,6 @@ class Gauge {
   void add(std::int64_t d) noexcept {
     v_.fetch_add(d, std::memory_order_relaxed);
   }
-  /// Monotonic high-water update (lock-free CAS loop, rarely contended).
-  void max_of(std::int64_t v) noexcept {
-    std::int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] std::int64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
@@ -87,13 +67,9 @@ class Histogram {
   static constexpr unsigned kBuckets = 64;
 
   void record(std::uint64_t v) noexcept {
-#ifndef HAYSTACK_OBS_STRIPPED
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   [[nodiscard]] static constexpr unsigned bucket_of(std::uint64_t v) noexcept {

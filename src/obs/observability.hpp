@@ -11,10 +11,11 @@
 
 namespace haystack::obs {
 
-/// Stage tags used as the `source` of pipeline-stage flight events
-/// (kBackpressureStall, kSlowWave) and as the {"stage", ...} label text.
-/// Recorded flight tapes carry these numbers, so a tag never changes its
-/// number and 1 and 3 stay unused.
+/// Stage tags: the `source` of a stage queue's kBackpressureStall flight
+/// events, and (through stage_name) the {"stage", ...} label of a stage
+/// pool's per-worker stage_wave_* series. Recorded flight tapes carry
+/// these numbers, so a tag never changes its number and 1 and 3 stay
+/// unused.
 enum StageTag : std::uint32_t {
   kStageDecode = 2,
   kStageDetect = 4,

@@ -1,23 +1,13 @@
 // Trace spans (ISSUE 5): RAII wall-clock timers feeding the registry's
 // log2 histograms — the per-wave stage-latency distributions
-// (meter → decode → normalize → detect) that show where a streaming
-// deployment actually spends its time.
-//
-// Two time axes, deliberately distinct: span *durations* are steady-clock
-// nanoseconds (latency is a hardware fact), while span *context* is
-// sim-time — a span that overruns its slow threshold records a kSlowWave
-// flight-recorder event stamped with the util::SimClock hour the recorder
-// currently carries, so a post-mortem dump places the stall on the same
-// hour axis as every other event.
-//
-// Under -DHAYSTACK_OBS_STRIPPED the timer compiles to nothing (no clock
-// reads) — the baseline side of the instrumentation-overhead bench.
+// (decode → decode_body → detect) that show where a streaming deployment
+// actually spends its time. Durations are steady-clock nanoseconds
+// (latency is a hardware fact, not a sim-time one).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 namespace haystack::obs {
@@ -30,66 +20,23 @@ namespace haystack::obs {
 }
 
 /// Scoped span: records elapsed nanoseconds into `latency` on destruction.
-/// When a recorder and a non-zero threshold are supplied, an over-threshold
-/// span additionally records EventKind::kSlowWave (source = `source`,
-/// a = elapsed ns, b = `items`).
+/// A null histogram reads no clock.
 class SpanTimer {
  public:
-  explicit SpanTimer(Histogram* latency, FlightRecorder* recorder = nullptr,
-                     std::uint64_t slow_threshold_ns = 0,
-                     std::uint32_t source = 0,
-                     std::uint64_t items = 0) noexcept {
-#ifndef HAYSTACK_OBS_STRIPPED
-    latency_ = latency;
-    recorder_ = recorder;
-    slow_threshold_ns_ = slow_threshold_ns;
-    source_ = source;
-    items_ = items;
-    if (latency_ != nullptr || (recorder_ != nullptr && slow_threshold_ns_)) {
-      start_ = steady_nanos();
-    }
-#else
-    (void)latency;
-    (void)recorder;
-    (void)slow_threshold_ns;
-    (void)source;
-    (void)items;
-#endif
+  explicit SpanTimer(Histogram* latency) noexcept : latency_{latency} {
+    if (latency_ != nullptr) start_ = steady_nanos();
   }
 
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
 
-  /// Late item count (known only after the wave was claimed).
-  void set_items(std::uint64_t items) noexcept {
-#ifndef HAYSTACK_OBS_STRIPPED
-    items_ = items;
-#else
-    (void)items;
-#endif
-  }
-
   ~SpanTimer() {
-#ifndef HAYSTACK_OBS_STRIPPED
-    if (start_ == 0) return;
-    const std::uint64_t elapsed = steady_nanos() - start_;
-    if (latency_ != nullptr) latency_->record(elapsed);
-    if (recorder_ != nullptr && slow_threshold_ns_ != 0 &&
-        elapsed >= slow_threshold_ns_) {
-      recorder_->record(EventKind::kSlowWave, source_, elapsed, items_);
-    }
-#endif
+    if (latency_ != nullptr) latency_->record(steady_nanos() - start_);
   }
 
  private:
-#ifndef HAYSTACK_OBS_STRIPPED
-  Histogram* latency_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  std::uint64_t slow_threshold_ns_ = 0;
-  std::uint32_t source_ = 0;
-  std::uint64_t items_ = 0;
+  Histogram* latency_;
   std::uint64_t start_ = 0;
-#endif
 };
 
 }  // namespace haystack::obs

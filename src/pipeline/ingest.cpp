@@ -1,10 +1,10 @@
 #include "pipeline/ingest.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 
+#include "obs/span.hpp"
 #include "telemetry/anonymize.hpp"
 #include "util/cpus.hpp"
 
@@ -80,41 +80,28 @@ IngestPipeline::IngestPipeline(const core::Hitlist& hitlist,
   // hook before any observation can flow.
   control_ = std::make_unique<serve::ControlPlane>(detector_, config_.alerts,
                                                    obs_);
-  auto make_stage = [this](std::uint32_t tag) {
-    const obs::Labels labels{{"stage", obs::stage_name(tag)}};
-    StageInstruments inst;
-    inst.wave_ns = obs_->registry.histogram("stage_wave_ns", labels);
-    inst.wave_items = obs_->registry.histogram("stage_wave_items", labels);
-    return inst;
-  };
-  decode_obs_ = make_stage(obs::kStageDecode);
-  body_obs_ = make_stage(obs::kStageDecodeBody);
-  auto stage_config = [this](const StageInstruments& inst, std::uint32_t tag) {
-    ShardPoolConfig stage{.shards = 1,
-                         .queue_capacity = config_.queue_capacity,
-                         .max_wave = config_.max_wave};
-    stage.wave_ns = inst.wave_ns.get();
-    stage.wave_items = inst.wave_items.get();
-    stage.recorder = &obs_->recorder;
-    stage.stage_tag = tag;
-    stage.slow_wave_ns = config_.slow_wave_ns;
-    return stage;
-  };
   // Body stage: one queue per worker, each bounded to the datagrams the
   // decode queue holds (a batch is at most one decode wave). Workers take
   // one batch per wake-up, since each commit waits for its turn.
-  ShardPoolConfig body = stage_config(body_obs_, obs::kStageDecodeBody);
-  body.shards = std::max(1u, util::usable_cpus() - 1);
-  body.queue_capacity = std::max<std::size_t>(
-      1, config_.queue_capacity / std::max<std::size_t>(1, config_.max_wave));
-  body.max_wave = 1;
+  const ShardPoolConfig body{
+      .shards = std::max(1u, util::usable_cpus() - 1),
+      .queue_capacity = std::max<std::size_t>(
+          1, config_.queue_capacity /
+                 std::max<std::size_t>(1, config_.max_wave)),
+      .max_wave = 1,
+      .obs = obs_,
+      .stage_tag = obs::kStageDecodeBody};
   body_workers_.resize(body.shards);
   bodies_ = std::make_unique<ShardPool<BodyBatch>>(
       body, [this](unsigned worker, std::vector<BodyBatch>& wave) {
         body_wave(worker, wave);
       });
   decode_ = std::make_unique<ShardPool<Datagram>>(
-      stage_config(decode_obs_, obs::kStageDecode),
+      ShardPoolConfig{.shards = 1,
+                      .queue_capacity = config_.queue_capacity,
+                      .max_wave = config_.max_wave,
+                      .obs = obs_,
+                      .stage_tag = obs::kStageDecode},
       [this](unsigned, std::vector<Datagram>& wave) { decode_wave(wave); });
 }
 
@@ -213,27 +200,19 @@ void IngestPipeline::body_wave(unsigned worker, std::vector<BodyBatch>& wave) {
   BodyWorker& self = body_workers_[worker];
   for (BodyBatch& batch : wave) {
     std::uint64_t decoded = 0;
-    [[maybe_unused]] std::uint64_t decode_ns = 0;
+    std::uint64_t decode_ns = 0;
     std::size_t job = 0;
     for (std::size_t d = 0; d < batch.datagrams.size(); ++d) {
       const std::size_t end = batch.job_ends[d];
       if (job == end) continue;
       self.rows.clear();
-      [[maybe_unused]] std::chrono::steady_clock::time_point t0;
-      if constexpr (!obs::kStripped) t0 = std::chrono::steady_clock::now();
+      const std::uint64_t t0 = obs::steady_nanos();
       for (; job < end; ++job) flow::plan::execute(batch.jobs[job], self.rows);
-      if constexpr (!obs::kStripped) {
-        decode_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      }
+      decode_ns += obs::steady_nanos() - t0;
       decoded += self.rows.size();
       normalize_rows(self.rows, batch.datagrams[d].hour, self.out);
     }
-    if constexpr (!obs::kStripped) {
-      if (decoded != 0) decode_ns_per_record_->record(decode_ns / decoded);
-    }
+    if (decoded != 0) decode_ns_per_record_->record(decode_ns / decoded);
     // Commit in ticket order: one enqueue per batch, in push order.
     std::unique_lock lock{commit_mu_};
     commit_cv_.wait(lock, [&] { return next_commit_ == batch.ticket; });

@@ -90,9 +90,6 @@ struct IngestConfig {
   /// pipelines passes one shared instance (e.g. &obs::Observability::
   /// global()) so a single scrape covers them all.
   obs::Observability* obs = nullptr;
-  /// Stage-wave duration above which a kSlowWave flight event is recorded;
-  /// 0 disables (the default keeps fault dumps free of timing noise).
-  std::uint64_t slow_wave_ns = 0;
   /// Read-view publication policy (ISSUE 8): how often shard workers
   /// republish live views on their own (fresh snapshots and reload
   /// cutovers always refresh). 0 = on demand only.
@@ -244,12 +241,6 @@ class IngestPipeline {
   // to the ShardedDetector (and the stage pools) at construction.
   std::unique_ptr<obs::Observability> owned_obs_;
   obs::Observability* obs_;  // never null
-  struct StageInstruments {
-    std::shared_ptr<obs::Histogram> wave_ns;
-    std::shared_ptr<obs::Histogram> wave_items;
-  };
-  StageInstruments decode_obs_;
-  StageInstruments body_obs_;
 
   // Declaration order is reverse-topological so default destruction (after
   // shutdown()) tears down consumers last-to-first.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <thread>
 
@@ -25,6 +26,13 @@ struct CodecCase {
   std::size_t records;
   unsigned v6_modulo;  // every Nth record is IPv6 (0 = none)
 };
+
+// gtest prints an unprintable parameter as a byte dump, padding included,
+// and that dump lands in the ctest name; print the fields instead so the
+// names are the same in every build.
+void PrintTo(const CodecCase& c, std::ostream* os) {
+  *os << "n" << c.records << "_v6mod" << c.v6_modulo;
+}
 
 class CodecRoundtrip : public ::testing::TestWithParam<CodecCase> {
  protected:
@@ -94,8 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CodecCase{25, 3}, CodecCase{100, 5},
                       CodecCase{999, 4}),
     [](const ::testing::TestParamInfo<CodecCase>& info) {
-      return "n" + std::to_string(info.param.records) + "_v6mod" +
-             std::to_string(info.param.v6_modulo);
+      return ::testing::PrintToString(info.param);
     });
 
 // ---------------------------------------------------------------------------
@@ -209,7 +216,9 @@ TEST_P(TrieProperty, MatchesLinearScan) {
     }
     const auto result = trie.lookup(addr);
     ASSERT_EQ(result.has_value(), found);
-    if (result) EXPECT_EQ(prefixes[*result].length(), best_len);
+    if (result) {
+      EXPECT_EQ(prefixes[*result].length(), best_len);
+    }
   }
 }
 
@@ -273,6 +282,11 @@ struct QueueCase {
   unsigned producers;
   bool waves;  ///< consume via pop_wave instead of pop
 };
+
+void PrintTo(const QueueCase& c, std::ostream* os) {
+  *os << "cap" << c.capacity << "_producers" << c.producers
+      << (c.waves ? "_waves" : "_pop");
+}
 
 class QueueProperty : public ::testing::TestWithParam<QueueCase> {};
 

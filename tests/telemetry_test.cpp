@@ -50,7 +50,7 @@ TEST(HourlySeriesTest, BoundsAndAccumulation) {
   EXPECT_DOUBLE_EQ(series.at(10), 7.0);
   EXPECT_DOUBLE_EQ(series.at(1), 0.0);
   EXPECT_EQ(series.values().size(), util::kStudyHours);
-  EXPECT_THROW(series.at(util::kStudyHours), std::out_of_range);
+  EXPECT_THROW((void)series.at(util::kStudyHours), std::out_of_range);
 }
 
 TEST(HourlySeriesTest, OutOfRangeWritesThrowAndLeaveSeriesIntact) {

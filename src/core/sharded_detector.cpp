@@ -34,6 +34,7 @@ ShardedDetector::ShardedDetector(const Hitlist& hitlist, const RuleSet& rules,
   missed_ = std::make_unique<PaddedCount[]>(n);
   pending_.resize(n);
   submitted_.assign(n, 0);
+  stale_.assign(n, 0);
   work_.resize(n);
   shards_.reserve(n);
   for (unsigned s = 0; s < n; ++s) {
@@ -219,9 +220,9 @@ void ShardedDetector::intake(std::span<const Item> batch, Resolve resolve) {
       pending_[s].push_back(o);
       if (pending_[s].size() >= kCoalesceItems) flush_shard_locked(s);
     }
+    for (std::size_t s = 0; s < n; ++s) count_misses_locked(s, misses[s]);
   }
   bump_sig_counters(batch.size(), hits);
-  for (std::size_t s = 0; s < n; ++s) count_misses(s, misses[s]);
 }
 
 void ShardedDetector::observe(const Observation& obs) {
@@ -257,11 +258,20 @@ std::shared_ptr<const ShardView> ShardedDetector::fresh_view(
   std::uint64_t target = 0;
   {
     std::lock_guard lock{pending_mu_};
+    // A view whose epoch counts every submitted chunk was published after
+    // the shard applied all of them; unless the shard changed outside its
+    // queue since, it is already fresh.
+    std::shared_ptr<const ShardView> current = hub_.view(shard);
+    if (pending_[shard].empty() && stale_[shard] == 0 &&
+        current->epoch == submitted_[shard]) {
+      return current;
+    }
     flush_shard_locked(shard);
     submit_locked(shard,
                   Chunk{version_.load(),
                         {},
                         /*publish=*/true});
+    stale_[shard] = 0;
     target = submitted_[shard];
   }
   // The token is chunk number `target` in this shard's FIFO; the wave
@@ -282,6 +292,7 @@ std::vector<std::shared_ptr<const ShardView>> ShardedDetector::fresh_views()
       submit_locked(s, Chunk{version_.load(),
                              {},
                              /*publish=*/true});
+      stale_[s] = 0;
       targets[s] = submitted_[s];
     }
   }
@@ -348,17 +359,25 @@ Verdict ShardedDetector::verdict(SubscriberKey subscriber,
   return fresh_view(owner_shard(subscriber))->verdict(subscriber, service);
 }
 
+void ShardedDetector::mark_all_stale() const {
+  std::lock_guard lock{pending_mu_};
+  std::fill(stale_.begin(), stale_.end(), 1);
+}
+
 void ShardedDetector::set_observed_loss(double fraction) noexcept {
   drain();
   for (const auto& shard : shards_) shard->set_observed_loss(fraction);
+  mark_all_stale();
 }
 
 void ShardedDetector::restore_evidence(SubscriberKey subscriber,
                                        ServiceId service,
                                        const Evidence& evidence) {
   drain();
-  shards_[shard_of(subscriber)]->restore_evidence(subscriber, service,
-                                                  evidence);
+  const std::size_t s = shard_of(subscriber);
+  shards_[s]->restore_evidence(subscriber, service, evidence);
+  std::lock_guard lock{pending_mu_};
+  stale_[s] = 1;
 }
 
 void ShardedDetector::restore_stats(const Detector::Stats& stats) {
@@ -371,6 +390,7 @@ void ShardedDetector::restore_stats(const Detector::Stats& stats) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     missed_[s].v.store(0, std::memory_order_relaxed);
   }
+  mark_all_stale();
   // Republish so wait-free live views reflect the restored state too
   // (the fresh-view read APIs would refresh on their own).
   static_cast<void>(fresh_views());
@@ -392,6 +412,7 @@ void ShardedDetector::for_each_evidence(
 void ShardedDetector::clear() {
   drain();
   for (const auto& shard : shards_) shard->clear();
+  mark_all_stale();
   // Republish so stale pre-clear detections never linger in live views.
   static_cast<void>(fresh_views());
 }

@@ -167,7 +167,10 @@ class ShardedDetector {
   /// enqueued before the call: flushes that shard's coalescing buffer,
   /// rides a publish token through its queue, and waits for the resulting
   /// epoch. Blocks only on that one shard's backlog — other shards and
-  /// all producers keep running. Must not be called from a shard worker.
+  /// all producers keep running. When the published view already covers
+  /// every chunk submitted to the shard and nothing changed the shard
+  /// since, it is returned as is, with no token. Must not be called from
+  /// a shard worker.
   [[nodiscard]] std::shared_ptr<const ShardView> fresh_view(
       unsigned shard) const;
 
@@ -342,12 +345,18 @@ class ShardedDetector {
 
   /// Folds boundary-filtered misses into shard `s`'s flow accounting:
   /// stats().flows and the shard's detector_flows_total series stay
-  /// exactly what a filter-free enqueue would have produced.
-  void count_misses(std::size_t s, std::uint64_t misses) {
+  /// exactly what a filter-free enqueue would have produced. Caller holds
+  /// pending_mu_, so a fresh_view sees the count and the stale mark
+  /// together.
+  void count_misses_locked(std::size_t s, std::uint64_t misses) const {
     if (misses == 0) return;
     missed_[s].v.fetch_add(misses, std::memory_order_relaxed);
     if (const auto& c = shards_[s]->instruments().flows) c->add(misses);
+    stale_[s] = 1;
   }
+
+  /// Marks every shard stale (see stale_).
+  void mark_all_stale() const;
 
   /// Per-shard miss counters, cache-line padded (producers on different
   /// shards must not false-share).
@@ -378,6 +387,10 @@ class ShardedDetector {
   mutable std::mutex pending_mu_;
   mutable std::vector<std::vector<InternedObs>> pending_;
   mutable std::vector<std::uint64_t> submitted_;  ///< chunks, per shard
+  /// Per shard: its state changed outside its queue (misses counted, a
+  /// restore, clear or loss update) since its last publish token, so the
+  /// next fresh_view must publish even if the view's epoch is current.
+  mutable std::vector<char> stale_;
   mutable std::unique_ptr<pipeline::ShardPool<Chunk>> pool_;
 };
 

@@ -1,6 +1,7 @@
 #include "simnet/population.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -55,11 +56,13 @@ void Population::build_block(std::uint32_t index, Block& block) const {
     if (block.devices.size() != owned) {
       block.active.push_back(line);
       block.ends.push_back(static_cast<std::uint32_t>(block.devices.size()));
+      block.identity.push_back(identity_of(line));
     }
   }
   block.active.shrink_to_fit();
   block.ends.shrink_to_fit();
   block.devices.shrink_to_fit();
+  block.identity.shrink_to_fit();
   built_bytes_.fetch_add(block.bytes(), std::memory_order_relaxed);
   blocks_built_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -101,6 +104,23 @@ std::uint64_t Population::active_line_count() const {
   return active_count_;
 }
 
+std::span<const std::uint16_t> Population::identities_in_block(
+    std::uint32_t index) const {
+  return block(index).identity;
+}
+
+std::uint16_t Population::identity_of(LineId line) const {
+  std::uint16_t identity = dual_stack(line) ? 1 : 0;
+  const util::RngFamily rotations{config_.seed ^ 0x707a7e};
+  for (util::DayBin d = 1; d <= kIdentityDays; ++d) {
+    util::Pcg32 rng = rotations.at(line, d);
+    if (rng.chance(config_.daily_rotation_probability)) {
+      identity |= static_cast<std::uint16_t>(1U << d);
+    }
+  }
+  return identity;
+}
+
 unsigned Population::epoch_of(LineId line, util::DayBin day) const {
   unsigned epoch = 0;
   for (util::DayBin d = 1; d <= day; ++d) {
@@ -111,8 +131,21 @@ unsigned Population::epoch_of(LineId line, util::DayBin day) const {
 }
 
 net::IpAddress Population::address_of(LineId line, util::DayBin day) const {
+  return address_at_epoch(line, epoch_of(line, day));
+}
+
+net::IpAddress Population::address_of(LineId line, util::DayBin day,
+                                      std::uint16_t identity) const {
+  if (day > kIdentityDays) return address_of(line, day);
+  // Bits 1 .. day: the rotations up to and including `day`.
+  const unsigned through_day = (2U << day) - 2U;
+  return address_at_epoch(
+      line, static_cast<unsigned>(std::popcount(identity & through_day)));
+}
+
+net::IpAddress Population::address_at_epoch(LineId line,
+                                             unsigned epoch) const {
   const std::uint32_t region = line / kLinesPerRegion;
-  const unsigned epoch = epoch_of(line, day);
   const std::uint32_t slot = static_cast<std::uint32_t>(
       util::hash_combine(util::fnv1a_u64(line), epoch) % kRegionAddrSpan);
   const std::uint64_t offset =

@@ -12,8 +12,8 @@
 // (DESIGN.md §12): the first thread to touch a block builds it, and the
 // block is then kept, immutable, for the Population's lifetime.
 // Construction builds nothing. A block stores only its active lines (those
-// owning at least one device), so memory is O(active lines): ~4.7 MiB at
-// 1 M lines and ~71 MiB at the paper's 15 M-line ISP (Sec. 6, Fig. 11)
+// owning at least one device), so memory is O(active lines): ~5.4 MiB at
+// 1 M lines and ~81 MiB at the paper's 15 M-line ISP (Sec. 6, Fig. 11)
 // once every block has been touched. Streaming consumers use
 // for_each_active_line (all blocks in order) or
 // for_each_active_line_in_block (one block, for block-parallel consumers).
@@ -95,6 +95,21 @@ class Population {
   void for_each_active_line_in_block(std::uint32_t index,
                                      const ActiveLineFn& fn) const;
 
+  /// Days whose identifier rotation an identity word records.
+  static constexpr util::DayBin kIdentityDays = util::kStudyDays - 1;
+
+  /// One identity word per active line of block `index`, in the order
+  /// for_each_active_line_in_block visits them, stored when the block is
+  /// built. Bit 0 is dual_stack(line); bit d, for 1 ≤ d ≤ kIdentityDays,
+  /// is set when the line's identifier rotates on day d.
+  [[nodiscard]] std::span<const std::uint16_t> identities_in_block(
+      std::uint32_t index) const;
+
+  /// address_of(line, day) for a line whose identity word is `identity`:
+  /// O(1) up to kIdentityDays, the day-by-day walk after that.
+  [[nodiscard]] net::IpAddress address_of(LineId line, util::DayBin day,
+                                          std::uint16_t identity) const;
+
   /// Ownership blocks built so far. Each block is built at most once;
   /// threads touching an unbuilt block together wait for one build.
   [[nodiscard]] std::uint64_t blocks_built() const noexcept {
@@ -135,11 +150,13 @@ class Population {
 
  private:
   // One ownership block: active[i] (ascending) owns
-  // devices[ends[i - 1] .. ends[i]), with ends[-1] = 0.
+  // devices[ends[i - 1] .. ends[i]), with ends[-1] = 0, and has identity
+  // word identity[i].
   struct Block {
     std::vector<LineId> active;
     std::vector<std::uint32_t> ends;
     std::vector<OwnedDevice> devices;
+    std::vector<std::uint16_t> identity;
 
     [[nodiscard]] std::span<const OwnedDevice> devices_at(
         std::size_t i) const {
@@ -149,7 +166,8 @@ class Population {
     [[nodiscard]] std::uint64_t bytes() const noexcept {
       return active.capacity() * sizeof(LineId) +
              ends.capacity() * sizeof(std::uint32_t) +
-             devices.capacity() * sizeof(OwnedDevice);
+             devices.capacity() * sizeof(OwnedDevice) +
+             identity.capacity() * sizeof(std::uint16_t);
     }
   };
 
@@ -162,6 +180,9 @@ class Population {
   // Block `index`, built on first use.
   [[nodiscard]] const Block& block(std::uint32_t index) const;
   void build_block(std::uint32_t index, Block& block) const;
+  [[nodiscard]] std::uint16_t identity_of(LineId line) const;
+  [[nodiscard]] net::IpAddress address_at_epoch(LineId line,
+                                                unsigned epoch) const;
 
   const Catalog& catalog_;
   PopulationConfig config_;

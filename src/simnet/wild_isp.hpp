@@ -14,6 +14,11 @@
 // Each observation carries ground-truth labels (line, unit, domain) used by
 // the evaluation harness only — the detector itself consumes just the
 // subscriber address and the flow record.
+//
+// The generator draws each flow into a compact record of what its draws
+// decided and builds the WildObs from it where the sink runs (DESIGN.md
+// §12): on the calling thread, after block-parallel workers hand their
+// records over.
 #pragma once
 
 #include <array>
@@ -63,12 +68,12 @@ class WildIspSim {
 
   /// Emits every sampled observation for one hour into `sink`, in ascending
   /// line order. Population blocks are generated on
-  /// min(usable CPUs − 1, blocks) worker threads into at most workers + 1
-  /// block buffers and handed to `sink` on the calling thread in block
-  /// order, so the sequence is identical at every worker count. With no
-  /// spare CPU or fewer than two blocks it streams inline, unbuffered. An
-  /// exception thrown by `sink` propagates after every worker has stopped.
-  /// Safe to call concurrently on one instance.
+  /// min(usable CPUs − 1, blocks) worker threads into at most
+  /// 2 · (workers + 1) block buffers and handed to `sink` on the calling
+  /// thread in block order, so the sequence is identical at every worker
+  /// count. With no spare CPU or fewer than two blocks it streams inline,
+  /// unbuffered. An exception thrown by `sink` propagates after every
+  /// worker has stopped. Safe to call concurrently on one instance.
   void hour_observations(util::HourBin hour, const Sink& sink) const;
 
   /// As above with an explicit worker count (0 streams inline); lets tests
@@ -96,6 +101,7 @@ class WildIspSim {
 
  private:
   struct Hour;  // per-hour constants shared by every line of the hour
+  struct Draw;  // one flow as its draws decided it (the hand-off record)
 
   // A sampled rate λ and what sampled_count derives from λ alone.
   struct SampledRate {
@@ -103,36 +109,67 @@ class WildIspSim {
     double bernoulli = 0.0;  // P(count = 1) on the λ < 0.05 path
     double limit = 0.0;      // e^−λ, the Poisson draw's Knuth limit
   };
-  // One unit domain: its hosting record and its sampled rate when the
-  // device is idle, active or in a heavy session.
+  // How the kernel draws one domain's count in one usage mode, as integer
+  // tests on the first word sampled_count would draw: the domain emits
+  // when (word ^ flip) < gate. flip = 0 is the Bernoulli path (gate =
+  // chance_threshold(bernoulli)); flip = ~0 is Knuth's loop, which counts
+  // above zero when word ≥ poisson_zero_bound(limit). `exact` is false
+  // where no single-word test exists (λ ≤ 0 draws nothing, λ ≥ 30 draws a
+  // normal): the kernel then calls sampled_count itself.
+  struct CountGate {
+    std::uint64_t gate = 0;
+    std::uint32_t flip = 0;
+    bool exact = false;
+  };
+  // One unit domain: its hosting record, its sampled rate when the device
+  // is idle, active or in a heavy session, and its address draw divisors.
   struct DomainPlan {
     const HostedDomain* hosting = nullptr;
     std::array<SampledRate, 3> rates;
+    std::array<util::Bound, util::kStudyDays> daily;  // daily_ips[day]
+    util::Bound v6;                                   // v6_ips
+  };
+  // One unit: its domains' plans and, per usage mode, their count gates
+  // (counts[mode][k] belongs to domains[k]), and its idle duty cycle.
+  struct UnitPlan {
+    std::vector<DomainPlan> domains;
+    std::array<std::vector<CountGate>, 3> counts;
+    double duty = 1.0;
+    std::uint64_t duty_gate = 0;  // chance_threshold(duty)
   };
 
   static std::uint64_t sampled_count(util::Pcg32& rng, const SampledRate& r);
 
-  // Per device-hour usage draw behind device_active (salt kActiveSalt) and
-  // device_heavy (kHeavySalt): a Bernoulli with probability base_prob
-  // scaled by the unit's diurnal strength.
-  [[nodiscard]] bool usage_draw(LineId line, std::uint32_t device_index,
-                                UnitId unit, util::HourBin hour,
-                                double base_prob, std::uint64_t salt) const;
+  // The probability behind device_active (base_prob = base_active_prob)
+  // and device_heavy (heavy_session_prob), as a chance_threshold: the base
+  // probability scaled by the unit's diurnal strength at this hour.
+  [[nodiscard]] std::uint64_t usage_gate(UnitId unit, util::HourBin hour,
+                                         double base_prob) const;
 
-  // Generates one line's observations for the hour, passing each to emit.
+  // Draws one line's flows for the hour, passing each Draw to emit.
   template <typename Emit>
-  void line_observations(const Hour& h, LineId line,
-                         std::span<const OwnedDevice> devices,
-                         Emit&& emit) const;
+  void line_draws(const Hour& h, LineId line, std::uint16_t identity,
+                  std::span<const OwnedDevice> devices, Emit&& emit) const;
+
+  // Draws every flow of block `block` for the hour, passing each to emit.
+  template <typename Emit>
+  void block_draws(const Hour& h, std::uint32_t block, Emit&& emit) const;
+
+  // Builds the observation a Draw describes into `obs`.
+  void build(const Hour& h, const Draw& d, WildObs& obs) const;
 
   const Backend& backend_;
   const Population& population_;
   WildIspConfig config_;
+  // The per device-hour streams: usage draws and the flows themselves.
+  util::RngFamily heavy_rng_;
+  util::RngFamily active_rng_;
+  util::RngFamily flow_rng_;
   // Unit ancestor chains, precomputed: chains_[u] lists u and all
   // ancestors.
   std::vector<std::vector<UnitId>> chains_;
-  // plans_[u][k] resolves catalog().domains_of(u)[k].
-  std::vector<std::vector<DomainPlan>> plans_;
+  // units_[u].domains[k] resolves catalog().domains_of(u)[k].
+  std::vector<UnitPlan> units_;
 };
 
 }  // namespace haystack::simnet

@@ -10,19 +10,23 @@ std::uint64_t Pcg32::poisson(double mean) noexcept {
 
 std::uint64_t Pcg32::poisson(double mean, double limit) noexcept {
   if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until the product drops below e^-mean.
-    double product = 1.0;
-    std::uint64_t count = 0;
-    do {
-      product *= uniform();
-      ++count;
-    } while (product > limit);
-    return count - 1;
-  }
+  if (mean < 30.0) return poisson_after(next(), limit);
   // Gaussian approximation, adequate for large means used in traffic volume.
   const double sample = mean + std::sqrt(mean) * normal();
   return sample <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(sample));
+}
+
+std::uint64_t Pcg32::poisson_after(std::uint32_t first,
+                                   double limit) noexcept {
+  // Knuth: multiply uniforms until the product drops below e^-mean. The
+  // first product, 1.0 times the first uniform, is that uniform exactly.
+  double product = static_cast<double>(first) * 0x1p-32;
+  std::uint64_t count = 1;
+  while (product > limit) {
+    product *= uniform();
+    ++count;
+  }
+  return count - 1;
 }
 
 std::uint64_t Pcg32::geometric(double p) noexcept {
@@ -47,14 +51,6 @@ double Pcg32::normal() noexcept {
   const double u2 = uniform();
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-Pcg32 derive_rng(std::uint64_t global_seed, std::uint64_t entity,
-                 std::uint64_t bin) noexcept {
-  const std::uint64_t a = splitmix64(global_seed ^ 0x6a09e667f3bcc908ULL);
-  const std::uint64_t b = splitmix64(a ^ entity);
-  const std::uint64_t c = splitmix64(b ^ bin);
-  return Pcg32{c, splitmix64(c ^ 0xbb67ae8584caa73bULL)};
 }
 
 }  // namespace haystack::util

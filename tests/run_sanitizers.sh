@@ -24,7 +24,9 @@
 # label `serve`: snapshot queries, hot-reloads, and alerts against full
 # ingest, ISSUE 8), the paper-scale suite (ctest label `scale`: the
 # population's one build per block under racing devices_of and block
-# walks, the block-parallel generator, and the
+# walks, the block-parallel generator's hand-off of worker-filled ring
+# slots to the calling thread under a throwing sink, a stalling sink at
+# 1, 3 and 7 workers and two concurrent callers, and the
 # million-entry evidence-map rehash storm, ISSUE 9), and the sharded
 # detector and streaming-pipeline unit tests.
 set -euo pipefail

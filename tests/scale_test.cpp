@@ -21,16 +21,18 @@
 //     and the HSVD delta decoder rejects non-canonical field widths;
 //   - the block-parallel wild-ISP generator emits the exact observation
 //     sequence of the single-threaded one at every worker count, under
-//     concurrent callers and when its sink throws, and builds every block
-//     once however many hours it walks.
+//     concurrent callers and when its sink throws or stalls, and builds
+//     every block once however many hours it walks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <latch>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -288,17 +290,30 @@ class ScaleWildGenerator : public ::testing::Test {
 
   // A population of `lines` plus its generator.
   struct World {
-    World(std::uint32_t lines)
+    explicit World(std::uint32_t lines, const simnet::WildIspConfig& config =
+                                            simnet::WildIspConfig{})
         : population{*catalog_, {.seed = 99, .lines = lines}},
-          wild{*backend_, population, *rates_, simnet::WildIspConfig{}} {}
+          wild{*backend_, population, *rates_, config} {}
     simnet::Population population;
     simnet::WildIspSim wild;
   };
+
+  // Usage probabilities raised until most device-hours are active and many
+  // heavy: most draws take the Poisson path, gossip domains' heavy rates
+  // reach λ ≥ 30 (the Gaussian approximation), the usage probability of
+  // high-diurnal units exceeds 1 at peak hours, and Knuth loops run long.
+  static simnet::WildIspConfig busy_config() {
+    return {.base_active_prob = 0.6, .heavy_session_prob = 0.3};
+  }
 
   struct Digest {
     std::uint64_t count = 0;
     std::uint64_t hash = 0;
     friend bool operator==(const Digest&, const Digest&) = default;
+    friend std::ostream& operator<<(std::ostream& os, const Digest& d) {
+      return os << "{" << d.count << ", 0x" << std::hex << d.hash << std::dec
+                << "}";
+    }
   };
 
   // Order-dependent hash over every field of every emitted observation.
@@ -328,19 +343,33 @@ class ScaleWildGenerator : public ::testing::Test {
     return d;
   }
 
-  // Digests of the single-threaded generator before it was parallelised
-  // (seed-99 population, default WildIspConfig).
+  // Pinned digests (seed-99 population; default WildIspConfig unless
+  // `busy`). Hours 0 and 200 come from the single-threaded generator before
+  // it was parallelised; hour 335 and the busy pin from the generator that
+  // built every observation in place, before the compact hand-off record
+  // and the integer-threshold draw kernel. Hour 335 is the study's last
+  // hour: the last day of daily address sets and the most identifier
+  // rotations.
   struct Pin {
     std::uint32_t lines;
     util::HourBin hour;
     Digest digest;
+    bool busy;
   };
   static constexpr Pin kPins[] = {
-      {270'000, 0, {614'825, 0xe9288877d78fd840}},
-      {270'000, 200, {858'548, 0xe2ed6cb53e9ac30f}},
-      {3'000, 0, {6'427, 0x6a02cb0a0207a1a4}},
-      {3'000, 200, {8'584, 0xe96d65b580c1fde4}},
+      {270'000, 0, {614'825, 0xe9288877d78fd840}, false},
+      {270'000, 200, {858'548, 0xe2ed6cb53e9ac30f}, false},
+      {270'000, 335, {771'808, 0xbbd72dcf9391b160}, false},
+      {3'000, 0, {6'427, 0x6a02cb0a0207a1a4}, false},
+      {3'000, 200, {8'584, 0xe96d65b580c1fde4}, false},
+      {3'000, 335, {7'669, 0xaf79bc700609869f}, false},
+      {40'000, 20, {450'841, 0xb10b8c78f875dbeb}, true},
   };
+
+  // Every worker count the generator is pinned at: the machine's default,
+  // inline, and 1–7 workers (more workers than spare CPUs included).
+  static constexpr std::optional<unsigned> kWorkerCounts[] = {
+      std::nullopt, 0u, 1u, 2u, 3u, 4u, 7u};
 
   static simnet::Catalog* catalog_;
   static simnet::Backend* backend_;
@@ -352,22 +381,45 @@ simnet::Backend* ScaleWildGenerator::backend_ = nullptr;
 simnet::DomainRateModel* ScaleWildGenerator::rates_ = nullptr;
 
 TEST_F(ScaleWildGenerator, SequencePinnedAtEveryWorkerCount) {
-  // 270 k lines is 66 blocks; 3 k lines is one block, which always
-  // streams inline.
-  for (const std::uint32_t lines : {270'000u, 3'000u}) {
-    const World world{lines};
-    for (const Pin& pin : kPins) {
-      if (pin.lines != lines) continue;
-      for (const std::optional<unsigned> workers :
-           {std::optional<unsigned>{}, std::optional<unsigned>{0u},
-            std::optional<unsigned>{1u}, std::optional<unsigned>{2u},
-            std::optional<unsigned>{4u}}) {
-        EXPECT_EQ(digest(world.wild, pin.hour, workers), pin.digest)
-            << lines << " lines, hour " << pin.hour << ", workers "
-            << (workers ? std::to_string(*workers) : "default");
-      }
+  // 270 k lines is 66 blocks, 40 k lines 10; 3 k lines is one block,
+  // which always streams inline.
+  for (const Pin& pin : kPins) {
+    const World world{pin.lines,
+                      pin.busy ? busy_config() : simnet::WildIspConfig{}};
+    for (const std::optional<unsigned> workers : kWorkerCounts) {
+      EXPECT_EQ(digest(world.wild, pin.hour, workers), pin.digest)
+          << pin.lines << " lines, hour " << pin.hour
+          << (pin.busy ? " (busy)" : "") << ", workers "
+          << (workers ? std::to_string(*workers) : "default");
     }
   }
+}
+
+TEST_F(ScaleWildGenerator, BusyPinReachesTheGaussianPath) {
+  // The busy pin only guards the Poisson draw's large-mean branch if some
+  // heavy rate reaches it and heavy sessions actually emit large counts.
+  const simnet::WildIspConfig busy = busy_config();
+  double max_lambda = 0.0;
+  for (const simnet::DetectionUnit& unit : catalog_->units()) {
+    for (const simnet::UnitDomain* dom : catalog_->domains_of(unit.id)) {
+      max_lambda = std::max(
+          max_lambda, rates_->idle_rate(unit.id, dom->index) *
+                          unit.active_multiplier * busy.heavy_session_factor /
+                          busy.sampling);
+    }
+  }
+  EXPECT_GE(max_lambda, 30.0);
+  const Pin& pin = *std::find_if(std::begin(kPins), std::end(kPins),
+                                 [](const Pin& p) { return p.busy; });
+  const World world{pin.lines, busy};
+  std::uint64_t max_packets = 0;
+  std::uint64_t flows = 0;
+  world.wild.hour_observations(pin.hour, [&](const simnet::WildObs& o) {
+    max_packets = std::max(max_packets, o.flow.packets);
+    ++flows;
+  });
+  EXPECT_GE(max_packets, 100u);
+  EXPECT_EQ(flows, pin.digest.count);
 }
 
 std::size_t process_threads() {
@@ -417,6 +469,26 @@ TEST_F(ScaleWildGenerator, ConcurrentCallersEachGetThePinnedSequence) {
   other.join();
   EXPECT_EQ(a, kPins[0].digest);
   EXPECT_EQ(b, kPins[0].digest);
+}
+
+TEST_F(ScaleWildGenerator, StallingSinkKeepsTheSequence) {
+  // The sink pauses every few thousand observations, so the workers fill
+  // every block slot and wait on the caller, and the caller then drains
+  // slots that were filled long before: the hand-off under backpressure.
+  const World world{270'000};
+  for (const unsigned workers : {1u, 3u, 7u}) {
+    Digest d;
+    world.wild.hour_observations(
+        0,
+        [&d](const simnet::WildObs& o) {
+          fold(d, o);
+          if (d.count % 4096 == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        },
+        workers);
+    EXPECT_EQ(d, kPins[0].digest) << workers << " workers";
+  }
 }
 
 TEST_F(ScaleWildGenerator, HourWalksBuildEachBlockOnce) {

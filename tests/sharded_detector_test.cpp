@@ -152,6 +152,75 @@ TEST_F(ShardedDetectorTest, ClearResetsAllShards) {
   EXPECT_EQ(remaining, 0u);
 }
 
+TEST_F(ShardedDetectorTest, PointReadsOnADrainedDetectorPublishOncePerShard) {
+  constexpr unsigned kShards = 4;
+  ShardedDetector det{rules_->hitlist, *rules_, {.threshold = 0.4}, kShards};
+  det.process_batch(*batch_);
+  const std::uint64_t before = det.view_hub().publishes();
+  std::size_t detections = 0;
+  for (std::size_t i = 0; i < batch_->size(); i += 97) {
+    const SubscriberKey subscriber = (*batch_)[i].subscriber;
+    for (ServiceId service = 0; service < 4; ++service) {
+      detections += det.detected(subscriber, service) ? 1 : 0;
+      (void)det.detection_hour(subscriber, service);
+      (void)det.verdict(subscriber, service);
+    }
+  }
+  EXPECT_GT(detections, 0u);
+  // The first read of each shard publishes its drained state; every later
+  // read finds that view current.
+  EXPECT_LE(det.view_hub().publishes() - before, kShards);
+}
+
+TEST_F(ShardedDetectorTest, ReadsAfterMutatorsSeeTheChange) {
+  ShardedDetector det{rules_->hitlist, *rules_, {.threshold = 0.4}, 4};
+  det.process_batch(*batch_);
+  SubscriberKey subscriber = 0;
+  ServiceId service = 0;
+  bool found = false;
+  det.for_each_evidence([&](SubscriberKey s, ServiceId sv, const Evidence&) {
+    if (!found && det.live_view(det.owner_shard(s))->detected(s, sv)) {
+      subscriber = s;
+      service = sv;
+      found = true;
+    }
+  });
+  ASSERT_TRUE(found);
+  const unsigned shard = det.owner_shard(subscriber);
+  const auto current = [&] {
+    // Two reads: the second finds the view current and publishes nothing.
+    (void)det.detected(subscriber, service);
+    const std::uint64_t publishes = det.view_hub().publishes();
+    (void)det.detected(subscriber, service);
+    EXPECT_EQ(det.view_hub().publishes(), publishes);
+  };
+
+  current();
+  const Evidence kept = *det.fresh_view(shard)->evidence.find(subscriber,
+                                                              service);
+  det.restore_evidence(subscriber, service, Evidence{});
+  EXPECT_FALSE(det.detected(subscriber, service));
+  det.restore_evidence(subscriber, service, kept);
+  EXPECT_TRUE(det.detected(subscriber, service));
+
+  current();
+  det.set_observed_loss(0.3);
+  EXPECT_DOUBLE_EQ(det.fresh_view(shard)->observed_loss, 0.3);
+  EXPECT_EQ(det.verdict(subscriber, service).detected,
+            det.fresh_view(shard)->verdict(subscriber, service).detected);
+  det.set_observed_loss(0.0);
+
+  current();
+  det.restore_stats({.flows = 1234, .matched = 56});
+  EXPECT_EQ(det.fresh_view(0)->stats.flows, 1234u);
+  EXPECT_EQ(det.fresh_view(0)->stats.matched, 56u);
+
+  current();
+  det.clear();
+  EXPECT_FALSE(det.detected(subscriber, service));
+  EXPECT_EQ(det.fresh_view(shard)->evidence.size(), 0u);
+}
+
 TEST_F(ShardedDetectorTest, ShardCountClampedToAtLeastOne) {
   ShardedDetector det{rules_->hitlist, *rules_, {}, 0};
   EXPECT_EQ(det.shard_count(), 1u);

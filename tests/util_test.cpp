@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -110,6 +113,146 @@ TEST(DeriveRngTest, IndependentPerEntityAndBin) {
   const auto va = derive_rng(1, 2, 3)();
   EXPECT_NE(va, c());
   EXPECT_NE(va, d());
+}
+
+TEST(DeriveRngTest, FamilyMatchesDeriveRng) {
+  for (const std::uint64_t seed : {0ULL, 99ULL, 0x3f10b5ULL ^ 123}) {
+    const RngFamily family{seed};
+    for (std::uint64_t entity = 0; entity < 50; ++entity) {
+      for (const std::uint64_t bin : {0ULL, 7ULL, 335ULL}) {
+        Pcg32 a = derive_rng(seed, entity, bin);
+        Pcg32 b = family.at(entity, bin);
+        for (int i = 0; i < 4; ++i) ASSERT_EQ(a(), b());
+      }
+    }
+  }
+}
+
+// chance(p) compares the double r · 2^-32 against p; chance_threshold
+// claims the integer compare r < threshold is the same test. Checked at
+// the words on both sides of each threshold, where rounding would show.
+void expect_threshold_exact(double p) {
+  const std::uint64_t t = chance_threshold(p);
+  ASSERT_GE(t, 1u) << p;
+  ASSERT_LE(t, std::uint64_t{1} << 32) << p;
+  for (std::int64_t delta = -2; delta <= 1; ++delta) {
+    const std::int64_t word = static_cast<std::int64_t>(t) + delta;
+    if (word < 0 || word > 0xffffffffLL) continue;
+    const auto r = static_cast<std::uint64_t>(word);
+    EXPECT_EQ(static_cast<double>(r) * 0x1p-32 < p, r < t)
+        << "p=" << p << " word " << r;
+  }
+}
+
+TEST(Pcg32Test, ChanceThresholdMatchesChanceDrawForDraw) {
+  std::vector<double> ps{std::numeric_limits<double>::denorm_min(),
+                         0x1p-33, 0.05, 0.5, 1.0 - 0x1p-53};
+  for (const std::uint64_t k :
+       {1ULL, 2ULL, 3ULL, 12'345'678ULL, 1ULL << 31, 0xffffffffULL}) {
+    const double exact = static_cast<double>(k) * 0x1p-32;
+    ps.push_back(exact);
+    ps.push_back(std::nextafter(exact, 0.0));
+    ps.push_back(std::nextafter(exact, 1.0));
+  }
+  for (const double p : ps) {
+    expect_threshold_exact(p);
+    Pcg32 a{23, 9};
+    Pcg32 b{23, 9};
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(a.chance(p), b() < chance_threshold(p)) << "p=" << p;
+    }
+    EXPECT_EQ(a(), b());
+  }
+  // A million random probabilities, one draw each, on streams in step.
+  Pcg32 pick{5, 5};
+  Pcg32 a{29, 1};
+  Pcg32 b{29, 1};
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint32_t high = pick();
+    const std::uint32_t low = pick() & 0xff;
+    const double p = (static_cast<double>(high) + 0.5) * 0x1p-32 +
+                     static_cast<double>(low) * 0x1p-45;
+    if (!(p > 0.0 && p < 1.0)) continue;
+    if (i % 1000 == 0) expect_threshold_exact(p);
+    ASSERT_EQ(a.chance(p), b() < chance_threshold(p)) << "p=" << p;
+  }
+  EXPECT_EQ(a(), b());
+  // Outside (0, 1) chance draws nothing; the threshold still decides.
+  EXPECT_EQ(chance_threshold(0.0), 0u);
+  EXPECT_EQ(chance_threshold(-1.0), 0u);
+  EXPECT_EQ(chance_threshold(1.0), std::uint64_t{1} << 32);
+  EXPECT_EQ(chance_threshold(7.0), std::uint64_t{1} << 32);
+}
+
+TEST(Pcg32Test, KnuthZeroBoundMatchesPoissonDrawForDraw) {
+  // Knuth's loop returns 0 exactly when its first word is below the
+  // bound, and poisson_after continues it from that word.
+  Pcg32 a{31, 7};
+  Pcg32 b{31, 7};
+  for (double mean = 0.05; mean < 30.0; mean += 0.0137) {
+    const double limit = std::exp(-mean);
+    const std::uint64_t bound = poisson_zero_bound(limit);
+    for (std::int64_t delta = -2; delta <= 1; ++delta) {
+      const std::int64_t word = static_cast<std::int64_t>(bound) + delta;
+      if (word < 0 || word > 0xffffffffLL) continue;
+      const auto r = static_cast<std::uint64_t>(word);
+      EXPECT_EQ(static_cast<double>(r) * 0x1p-32 <= limit, r < bound)
+          << "mean=" << mean << " word " << r;
+    }
+    for (int i = 0; i < 50; ++i) {
+      const std::uint64_t count = a.poisson(mean, limit);
+      const std::uint32_t first = b();
+      ASSERT_EQ(count == 0, first < bound) << "mean=" << mean;
+      ASSERT_EQ(count, b.poisson_after(first, limit)) << "mean=" << mean;
+    }
+  }
+  EXPECT_EQ(a(), b());
+}
+
+TEST(Pcg32Test, PreparedBoundMatchesBoundedDrawForDraw) {
+  std::vector<std::uint32_t> ns{1, 2, 3, 7, 900, 28'000, (1U << 31) + 1,
+                                0xffffffffU};
+  Pcg32 pick{37, 2};
+  for (int i = 0; i < 200; ++i) ns.push_back(pick() >> (pick() % 32));
+  for (const std::uint32_t n : ns) {
+    const Bound bound{n};
+    if (n > 1) {
+      // The fastmod remainder at the edges and at random words.
+      for (const std::uint32_t r :
+           {0U, 1U, n - 1, n, bound.threshold(), bound.threshold() - 1,
+            0xffffffffU}) {
+        ASSERT_EQ(bound.mod(r), r % n) << "n=" << n << " r=" << r;
+      }
+      for (int i = 0; i < 1000; ++i) {
+        const std::uint32_t r = pick();
+        ASSERT_EQ(bound.mod(r), r % n) << "n=" << n << " r=" << r;
+      }
+    }
+    Pcg32 a{41, 3};
+    Pcg32 b{41, 3};
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(a.bounded(n), b.bounded(bound)) << "n=" << n;
+    }
+    EXPECT_EQ(a(), b()) << "n=" << n;
+  }
+}
+
+TEST(Pcg32Test, GatedPairMatchesTwoBranchingDraws) {
+  for (const std::uint64_t gate :
+       {std::uint64_t{0}, std::uint64_t{1} << 31, std::uint64_t{3'435'973'837},
+        std::uint64_t{1} << 32}) {
+    Pcg32 a{43, 4};
+    Pcg32 b{43, 4};
+    for (int i = 0; i < 5000; ++i) {
+      const auto [open, second] = a.gated_pair(gate);
+      const std::uint32_t first = b();
+      ASSERT_EQ(open, first < gate);
+      if (open) {
+        ASSERT_EQ(second, b());
+      }
+    }
+    EXPECT_EQ(a(), b()) << "gate=" << gate;
+  }
 }
 
 TEST(HashTest, Fnv1aKnownValues) {

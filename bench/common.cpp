@@ -1,16 +1,21 @@
 #include "common.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace haystack::bench {
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  // std::from_chars rejects a sign, so "-1" falls back instead of wrapping
+  // to the maximum the way strtoull does.
+  const char* const end = value + std::strlen(value);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  return (ec == std::errc{} && ptr == end) ? parsed : fallback;
 }
 
 SimWorld::SimWorld() {

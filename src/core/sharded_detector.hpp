@@ -271,22 +271,6 @@ class ShardedDetector {
   [[nodiscard]] telemetry::StageStats shard_queue_stats(
       unsigned shard) const;
 
-  /// The current version's precompiled (IP, port, day) -> Signature
-  /// index. The reference is invalidated by the next reload_rules();
-  /// streaming producers should hold current_version() per wave instead.
-  [[nodiscard]] const SignatureIndex& signature_index() const noexcept {
-    return *current_version()->index;
-  }
-
-  /// Rule-name / monitored-domain-label intern table populated by the
-  /// signature-index builds.
-  /// Append-only across reloads: handles stay stable, deltas are
-  /// interned without stalling producers (the table is thread-safe).
-  [[nodiscard]] const InternTable& intern_table() const noexcept {
-    return intern_;
-  }
-  [[nodiscard]] InternTable& intern_table() noexcept { return intern_; }
-
  private:
   /// One shard-queue item: a run of interned observations applied under
   /// exactly one compiled rule version, plus an optional publish request
@@ -365,6 +349,10 @@ class ShardedDetector {
   };
 
   std::vector<std::unique_ptr<Detector>> shards_;
+  /// Rule-name / monitored-domain-label intern table populated by the
+  /// signature-index builds. Append-only across reloads: handles stay
+  /// stable, deltas are interned without stalling producers (the table is
+  /// thread-safe).
   InternTable intern_;
   /// Producer-side current version: swapped by reload_rules under
   /// pending_mu_, loaded lock-free by readers.

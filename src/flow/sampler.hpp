@@ -2,11 +2,10 @@
 //
 // Routers in the paper sample packets at a consistent 1-in-N rate before
 // flow aggregation (NetFlow at the ISP; IPFIX at the IXP at an order of
-// magnitude lower rate). We model both the classic systematic
-// count-based sampler and the random per-packet sampler, plus the
-// statistically equivalent binomial thinning applied directly to an
-// aggregate flow record — the form the traffic simulator uses so it never
-// has to materialize individual packets of millions of subscriber lines.
+// magnitude lower rate). The simulator models this as binomial thinning
+// applied directly to an aggregate flow record, which is statistically
+// equivalent to per-packet sampling and never has to materialize the
+// individual packets of millions of subscriber lines.
 #pragma once
 
 #include <cstdint>
@@ -16,48 +15,6 @@
 #include "util/rng.hpp"
 
 namespace haystack::flow {
-
-/// Deterministic 1-in-N systematic count-based sampler (select every Nth
-/// packet). N == 1 selects everything.
-class SystematicSampler {
- public:
-  explicit constexpr SystematicSampler(std::uint32_t interval) noexcept
-      : interval_{interval == 0 ? 1 : interval} {}
-
-  /// Returns true when the next packet is selected.
-  constexpr bool sample() noexcept {
-    if (++count_ >= interval_) {
-      count_ = 0;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] constexpr std::uint32_t interval() const noexcept {
-    return interval_;
-  }
-
- private:
-  std::uint32_t interval_;
-  std::uint32_t count_ = 0;
-};
-
-/// Random per-packet sampler with probability 1/N.
-class RandomSampler {
- public:
-  RandomSampler(std::uint32_t interval, util::Pcg32 rng) noexcept
-      : interval_{interval == 0 ? 1 : interval}, rng_{rng} {}
-
-  bool sample() noexcept {
-    return interval_ == 1 || rng_.bounded(interval_) == 0;
-  }
-
-  [[nodiscard]] std::uint32_t interval() const noexcept { return interval_; }
-
- private:
-  std::uint32_t interval_;
-  util::Pcg32 rng_;
-};
 
 /// Draws from Binomial(n, p) reproducibly: exact Bernoulli summation for
 /// small n, Poisson approximation for small p·n, Gaussian otherwise.

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <limits>
 
 namespace haystack::obs {
 
@@ -103,59 +102,8 @@ std::string to_prometheus(const MetricRegistry& registry) {
   return out;
 }
 
-std::string to_json(const MetricRegistry& registry) {
-  std::string out = "{\"metrics\":[";
-  bool first_metric = true;
-  for (const auto& s : registry.snapshot()) {
-    if (!first_metric) out += ',';
-    first_metric = false;
-    out += "{\"name\":\"";
-    append_escaped(out, s.name);
-    out += "\",\"kind\":\"";
-    out += kind_name(s.kind);
-    out += "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : s.labels) {
-      if (!first_label) out += ',';
-      first_label = false;
-      out += '"';
-      append_escaped(out, k);
-      out += "\":\"";
-      append_escaped(out, v);
-      out += '"';
-    }
-    out += '}';
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        out += ",\"value\":" + std::to_string(s.counter);
-        break;
-      case MetricKind::kGauge:
-        out += ",\"value\":" + std::to_string(s.gauge);
-        break;
-      case MetricKind::kHistogram: {
-        out += ",\"count\":" + std::to_string(s.hist.count);
-        out += ",\"sum\":" + std::to_string(s.hist.sum);
-        out += ",\"buckets\":{";
-        bool first_bucket = true;
-        for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-          if (s.hist.buckets[b] == 0) continue;
-          if (!first_bucket) out += ',';
-          first_bucket = false;
-          out += '"' + std::to_string(Histogram::upper_bound(b)) + "\":" +
-                 std::to_string(s.hist.buckets[b]);
-        }
-        out += '}';
-        break;
-      }
-    }
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Parsers. They accept exactly the grammar the emitters above produce.
+// Parser. It accepts exactly the grammar to_prometheus() produces.
 
 namespace {
 
@@ -244,178 +192,6 @@ std::optional<std::vector<ParsedSample>> parse_prometheus(
     }
     out.push_back(std::move(sample));
   }
-  return out;
-}
-
-// Minimal JSON reader for the snapshot grammar emitted by to_json().
-namespace {
-
-struct JsonReader {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string err;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) {
-      err = std::string{"expected '"} + c + "'";
-      return false;
-    }
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool read_string(std::string& out) {
-    if (!expect('"')) return false;
-    out.clear();
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        ++pos;
-        out += text[pos] == 'n' ? '\n' : text[pos];
-      } else {
-        out += text[pos];
-      }
-      ++pos;
-    }
-    if (pos >= text.size()) {
-      err = "unterminated string";
-      return false;
-    }
-    ++pos;
-    return true;
-  }
-  bool read_number(double& out) {
-    skip_ws();
-    const std::string slice{text.substr(pos, 32)};
-    char* end = nullptr;
-    out = std::strtod(slice.c_str(), &end);
-    if (end == slice.c_str()) {
-      err = "expected a number";
-      return false;
-    }
-    pos += static_cast<std::size_t>(end - slice.c_str());
-    return true;
-  }
-};
-
-}  // namespace
-
-std::optional<std::vector<ParsedSample>> parse_json(std::string_view text,
-                                                    std::string* error) {
-  JsonReader r;
-  r.text = text;
-  const auto bail = [&]() -> std::optional<std::vector<ParsedSample>> {
-    if (error != nullptr) *error = r.err.empty() ? "parse error" : r.err;
-    return std::nullopt;
-  };
-
-  std::vector<ParsedSample> out;
-  std::string key;
-  if (!r.expect('{') || !r.read_string(key) || key != "metrics" ||
-      !r.expect(':') || !r.expect('[')) {
-    return bail();
-  }
-  while (!r.peek(']')) {
-    if (!r.expect('{')) return bail();
-    std::string name;
-    std::string kind;
-    std::map<std::string, std::string> labels;
-    double value = 0.0;
-    double count = 0.0;
-    double sum = 0.0;
-    std::vector<std::pair<std::string, double>> buckets;
-    while (!r.peek('}')) {
-      if (!r.read_string(key) || !r.expect(':')) return bail();
-      if (key == "name") {
-        if (!r.read_string(name)) return bail();
-      } else if (key == "kind") {
-        if (!r.read_string(kind)) return bail();
-      } else if (key == "labels") {
-        if (!r.expect('{')) return bail();
-        while (!r.peek('}')) {
-          std::string lk;
-          std::string lv;
-          if (!r.read_string(lk) || !r.expect(':') || !r.read_string(lv)) {
-            return bail();
-          }
-          labels.emplace(std::move(lk), std::move(lv));
-          if (r.peek(',')) r.expect(',');
-        }
-        if (!r.expect('}')) return bail();
-      } else if (key == "value") {
-        if (!r.read_number(value)) return bail();
-      } else if (key == "count") {
-        if (!r.read_number(count)) return bail();
-      } else if (key == "sum") {
-        if (!r.read_number(sum)) return bail();
-      } else if (key == "buckets") {
-        if (!r.expect('{')) return bail();
-        while (!r.peek('}')) {
-          std::string upper;
-          double bucket_count = 0.0;
-          if (!r.read_string(upper) || !r.expect(':') ||
-              !r.read_number(bucket_count)) {
-            return bail();
-          }
-          buckets.emplace_back(std::move(upper), bucket_count);
-          if (r.peek(',')) r.expect(',');
-        }
-        if (!r.expect('}')) return bail();
-      } else {
-        r.err = "unknown key '" + key + "'";
-        return bail();
-      }
-      if (r.peek(',')) r.expect(',');
-    }
-    if (!r.expect('}')) return bail();
-    if (r.peek(',')) r.expect(',');
-
-    if (kind == "histogram") {
-      // Flatten to the same cumulative series the Prometheus parser yields.
-      double cumulative = 0.0;
-      for (const auto& [upper, bucket_count] : buckets) {
-        cumulative += bucket_count;
-        ParsedSample s;
-        s.name = name + "_bucket";
-        s.labels = labels;
-        s.labels.emplace("le", upper);
-        s.value = cumulative;
-        out.push_back(std::move(s));
-      }
-      ParsedSample inf;
-      inf.name = name + "_bucket";
-      inf.labels = labels;
-      inf.labels.emplace("le", "+Inf");
-      inf.value = count;
-      out.push_back(std::move(inf));
-      ParsedSample s_sum;
-      s_sum.name = name + "_sum";
-      s_sum.labels = labels;
-      s_sum.value = sum;
-      out.push_back(std::move(s_sum));
-      ParsedSample s_count;
-      s_count.name = name + "_count";
-      s_count.labels = labels;
-      s_count.value = count;
-      out.push_back(std::move(s_count));
-    } else {
-      ParsedSample s;
-      s.name = std::move(name);
-      s.labels = std::move(labels);
-      s.value = value;
-      out.push_back(std::move(s));
-    }
-  }
-  if (!r.expect(']') || !r.expect('}')) return bail();
   return out;
 }
 

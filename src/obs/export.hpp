@@ -1,11 +1,11 @@
-// Scrape exporters (ISSUE 5): render a MetricRegistry snapshot as
-// Prometheus text exposition format or as a JSON snapshot, plus the
-// matching parsers the round-trip tests (and any scrape tooling) use to
-// validate that the output is machine-readable, not just printable.
+// Scrape exporter: render a MetricRegistry snapshot as Prometheus text
+// exposition format, plus the matching parser the round-trip tests (and
+// any scrape tooling) use to validate that the output is machine-readable,
+// not just printable.
 //
-// The parsers cover the full grammar these emitters produce — every
-// escape, every histogram series — and reject anything malformed; they
-// are not general-purpose Prometheus/JSON implementations.
+// The parser covers the full grammar the emitter produces — every
+// escape, every histogram series — and rejects anything malformed; it is
+// not a general-purpose Prometheus implementation.
 #pragma once
 
 #include <map>
@@ -22,11 +22,6 @@ namespace haystack::obs {
 /// histograms as cumulative <name>_bucket{le="..."} plus _sum/_count.
 [[nodiscard]] std::string to_prometheus(const MetricRegistry& registry);
 
-/// JSON snapshot: {"metrics":[{"name":...,"kind":...,"labels":{...},...}]}.
-/// Counters/gauges carry "value"; histograms carry "count", "sum" and a
-/// sparse "buckets" object of bucket-upper-bound → count.
-[[nodiscard]] std::string to_json(const MetricRegistry& registry);
-
 /// One parsed series (histograms come back as their constituent
 /// _bucket/_sum/_count series, exactly as exposed).
 struct ParsedSample {
@@ -38,12 +33,6 @@ struct ParsedSample {
 /// Parses Prometheus text produced by to_prometheus(). nullopt (with
 /// `error`) on any malformed line.
 [[nodiscard]] std::optional<std::vector<ParsedSample>> parse_prometheus(
-    std::string_view text, std::string* error = nullptr);
-
-/// Parses a JSON snapshot produced by to_json(). Histograms are flattened
-/// to the same _bucket/_sum/_count series as the Prometheus parser yields,
-/// so round-trip tests can compare both exporters sample-for-sample.
-[[nodiscard]] std::optional<std::vector<ParsedSample>> parse_json(
     std::string_view text, std::string* error = nullptr);
 
 }  // namespace haystack::obs

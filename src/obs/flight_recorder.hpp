@@ -118,7 +118,8 @@ class FlightRecorder {
 
   void clear();
 
-  /// JSON array of events (same shape obs::to_json uses for metrics).
+  /// JSON array of events, one object per event: seq, event name, hour,
+  /// source, a, b.
   [[nodiscard]] std::string to_json() const;
 
  private:

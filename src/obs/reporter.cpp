@@ -43,9 +43,7 @@ void Reporter::run() {
 }
 
 void Reporter::do_scrape() {
-  const std::string rendered = config_.format == ExportFormat::kPrometheus
-                                   ? to_prometheus(registry_)
-                                   : to_json(registry_);
+  const std::string rendered = to_prometheus(registry_);
   const std::uint64_t n =
       scrapes_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (config_.recorder != nullptr) {

@@ -1,6 +1,6 @@
-// Background reporter (ISSUE 5): a thread that periodically scrapes the
-// MetricRegistry, renders the snapshot (Prometheus text or JSON) and hands
-// it to a caller-supplied sink — the in-process stand-in for an external
+// Background reporter: a thread that periodically scrapes the
+// MetricRegistry, renders the snapshot as Prometheus text and hands it to
+// a caller-supplied sink — the in-process stand-in for an external
 // scrape endpoint. The scrape path only reads atomics and copies strings,
 // so it is safe to run full-rate while every pipeline stage is ingesting
 // (the TSan pass in tests/run_sanitizers.sh covers exactly that overlap).
@@ -20,11 +20,8 @@
 
 namespace haystack::obs {
 
-enum class ExportFormat : std::uint8_t { kPrometheus, kJson };
-
 struct ReporterConfig {
   std::chrono::milliseconds period{1000};
-  ExportFormat format = ExportFormat::kPrometheus;
   /// When set, each scrape also records EventKind::kScrape (a = scrape #,
   /// b = rendered bytes) so dumps show when observation itself happened.
   FlightRecorder* recorder = nullptr;

@@ -6,7 +6,7 @@
 // datagram producer itself slows down; pop()/pop_wave() block while the
 // queue is empty. close() starts the drain-then-stop protocol: new pushes
 // are refused, consumers keep draining until the queue is empty and then
-// see end-of-stream (nullopt / 0). reopen() supports restart-after-drain.
+// see end-of-stream (nullopt / 0). A closed queue stays closed.
 //
 // Every queue keeps its own telemetry::StageStats (depth, throughput,
 // producer/consumer stalls, adaptive-batch waves) so a deployment can see
@@ -109,12 +109,6 @@ class BoundedQueue {
     closed_ = true;
     not_empty_.notify_all();
     not_full_.notify_all();
-  }
-
-  /// Reopens a closed queue (restart-after-drain). Counters survive.
-  void reopen() {
-    std::lock_guard lock{mu_};
-    closed_ = false;
   }
 
   [[nodiscard]] bool closed() const {

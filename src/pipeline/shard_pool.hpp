@@ -14,9 +14,10 @@
 //            before the call has been fully handled. Cheap when idle,
 //            immediate on a pool that never started.
 //   stop()   drain-then-stop — closes the queues (pending items are still
-//            consumed), joins the workers. Later submits are refused.
-//   start()  starts the workers up front, or restarts them after stop()
-//            — reopens the queues, respawns workers.
+//            consumed), joins the workers. Later submits are refused; a
+//            stopped pool never restarts.
+//   start()  starts the workers up front; a no-op once the pool has
+//            started or stopped.
 // submit()/drain()/stop()/start() may be called from any number of
 // threads. Handlers must not call drain() (a worker waiting on itself
 // would deadlock).
@@ -91,7 +92,7 @@ class ShardPool {
   /// Blocking submit with backpressure. Returns false when the pool is
   /// stopped (the item is dropped).
   bool submit(unsigned shard, Item item) {
-    if (!started_.load(std::memory_order_acquire)) start_once();
+    if (!started_.load(std::memory_order_acquire)) start();
     ShardState& st = state_[shard];
     st.submitted.fetch_add(1, std::memory_order_relaxed);
     if (queues_[shard]->push(std::move(item))) return true;
@@ -136,20 +137,18 @@ class ShardPool {
     workers_.clear();
   }
 
-  /// Starts the workers, or restarts them after stop(). Idempotent while
-  /// running.
+  /// Starts the workers unless the pool has already started or stopped
+  /// (a stopped pool stays stopped and keeps refusing submits).
   void start() {
     std::lock_guard lock{lifecycle_mu_};
+    if (started_.load(std::memory_order_relaxed)) return;
+    workers_.reserve(config_.shards);
+    for (unsigned s = 0; s < config_.shards; ++s) {
+      workers_.emplace_back([this, s] { run(s); });
+    }
     started_.store(true, std::memory_order_release);
-    if (!workers_.empty()) return;
-    for (auto& q : queues_) q->reopen();
-    spawn_workers();
   }
 
-  [[nodiscard]] bool running() const {
-    std::lock_guard lock{lifecycle_mu_};
-    return !workers_.empty();
-  }
   [[nodiscard]] unsigned shards() const noexcept { return config_.shards; }
 
   [[nodiscard]] telemetry::StageStats stats(unsigned shard) const {
@@ -170,22 +169,6 @@ class ShardPool {
     std::shared_ptr<obs::Histogram> wave_ns;
     std::shared_ptr<obs::Histogram> wave_items;
   };
-
-  /// First-submit start: spawns the workers unless start() or stop()
-  /// already ran (a stopped pool stays stopped until start()).
-  void start_once() {
-    std::lock_guard lock{lifecycle_mu_};
-    if (started_.load(std::memory_order_relaxed)) return;
-    spawn_workers();
-    started_.store(true, std::memory_order_release);
-  }
-
-  void spawn_workers() {
-    workers_.reserve(config_.shards);
-    for (unsigned s = 0; s < config_.shards; ++s) {
-      workers_.emplace_back([this, s] { run(s); });
-    }
-  }
 
   void run(unsigned shard) {
     obs::Histogram* wave_ns = state_[shard].wave_ns.get();
@@ -223,7 +206,7 @@ class ShardPool {
   std::vector<std::unique_ptr<BoundedQueue<Item>>> queues_;
   /// Guards workers_; started_ turns true once start(), stop() or the
   /// first submit has run, so submit() checks it without the lock.
-  mutable std::mutex lifecycle_mu_;
+  std::mutex lifecycle_mu_;
   std::atomic<bool> started_{false};
   std::vector<std::thread> workers_;
   std::mutex drain_mu_;

@@ -1,11 +1,33 @@
 #include "simnet/scenario.hpp"
 
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 namespace haystack::simnet {
 
 namespace {
+
+// Bounds on the keys that size threads and buffers up front: each pipeline
+// shard is a detector and a worker thread, each vantage collector a full
+// detector, and every intake worker reserves a whole wave of items.
+constexpr std::uint32_t kMaxPipelineShards = 256;
+constexpr std::uint32_t kMaxVantageCollectors = 256;
+constexpr std::uint32_t kMaxPipelineWave = 65'536;
+
+// Reads one unsigned integer token no larger than `max`. std::from_chars
+// rejects a sign, so "-1" is an error here; istream extraction into an
+// unsigned type would wrap it to the type's maximum instead.
+template <typename T>
+bool read_unsigned(std::istringstream& fields, T& out,
+                   T max = std::numeric_limits<T>::max()) {
+  std::string token;
+  if (!(fields >> token)) return false;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end && out <= max;
+}
 
 // Reads a possibly-quoted name token.
 bool read_name(std::istringstream& fields, std::string& out) {
@@ -109,15 +131,17 @@ std::optional<Scenario> parse_scenario(std::istream& is,
 
     if (key == "seed") {
       std::uint64_t v = 0;
-      if (!(fields >> v)) return syntax_error("bad seed");
+      if (!read_unsigned(fields, v)) return syntax_error("bad seed");
       scenario.seed = v;
     } else if (key == "lines") {
       std::uint32_t v = 0;
-      if (!(fields >> v)) return syntax_error("bad lines");
+      if (!read_unsigned(fields, v)) return syntax_error("bad lines");
       scenario.lines = v;
     } else if (key == "sampling") {
       std::uint32_t v = 0;
-      if (!(fields >> v) || v == 0) return syntax_error("bad sampling");
+      if (!read_unsigned(fields, v) || v == 0) {
+        return syntax_error("bad sampling");
+      }
       scenario.sampling = v;
     } else if (key == "rotation") {
       double v = 0;
@@ -149,8 +173,12 @@ std::optional<Scenario> parse_scenario(std::istream& is,
       else scenario.impair_truncate = v;
     } else if (key == "pipeline_shards" || key == "pipeline_queue" ||
                key == "pipeline_wave") {
+      const std::uint32_t max =
+          key == "pipeline_shards" ? kMaxPipelineShards
+          : key == "pipeline_wave" ? kMaxPipelineWave
+                                   : std::numeric_limits<std::uint32_t>::max();
       std::uint32_t v = 0;
-      if (!(fields >> v) || v == 0) {
+      if (!read_unsigned(fields, v, max) || v == 0) {
         return syntax_error("bad pipeline setting");
       }
       if (key == "pipeline_shards") scenario.pipeline_shards = v;
@@ -158,7 +186,7 @@ std::optional<Scenario> parse_scenario(std::istream& is,
       else scenario.pipeline_wave = v;
     } else if (key == "impair_seed") {
       std::uint64_t v = 0;
-      if (!(fields >> v)) return syntax_error("bad impair_seed");
+      if (!read_unsigned(fields, v)) return syntax_error("bad impair_seed");
       scenario.impair_seed = v;
     } else if (key == "delta_drop" || key == "delta_duplicate" ||
                key == "delta_reorder" || key == "delta_truncate" ||
@@ -174,18 +202,18 @@ std::optional<Scenario> parse_scenario(std::istream& is,
       else scenario.ack_loss = v;
     } else if (key == "delta_seed") {
       std::uint64_t v = 0;
-      if (!(fields >> v)) return syntax_error("bad delta_seed");
+      if (!read_unsigned(fields, v)) return syntax_error("bad delta_seed");
       scenario.delta_seed = v;
     } else if (key == "vantage_collectors") {
       std::uint32_t v = 0;
-      if (!(fields >> v) || v == 0) {
+      if (!read_unsigned(fields, v, kMaxVantageCollectors) || v == 0) {
         return syntax_error("bad vantage_collectors");
       }
       scenario.vantage_collectors = v;
     } else if (key == "vantage_kill_collector" ||
                key == "vantage_kill_hour" || key == "vantage_restart_hour") {
       std::uint32_t v = 0;
-      if (!(fields >> v)) return syntax_error("bad vantage setting");
+      if (!read_unsigned(fields, v)) return syntax_error("bad vantage setting");
       if (key == "vantage_kill_collector") {
         scenario.vantage_kill_collector = v;
       } else if (key == "vantage_kill_hour") {

@@ -30,7 +30,10 @@
 //   vantage_restart_hour 6
 //
 // Product/unit names are quoted; unknown names are reported as errors so
-// typos fail loudly instead of silently simulating the default.
+// typos fail loudly instead of silently simulating the default. Integer
+// values are unsigned decimal: a sign, a fraction or trailing characters
+// are errors. The keys that size threads and buffers up front are bounded:
+// pipeline_shards and vantage_collectors at 256, pipeline_wave at 65,536.
 #pragma once
 
 #include <iosfwd>
@@ -61,7 +64,8 @@ struct Scenario {
   std::optional<double> impair_truncate;
   std::optional<std::uint64_t> impair_seed;
   // Streaming-pipeline shape (pipeline::IngestPipeline): detector shards,
-  // per-stage queue capacity, adaptive-batch wave bound. All >= 1.
+  // per-stage queue capacity, adaptive-batch wave bound. All >= 1;
+  // shards <= 256, wave <= 65,536.
   std::optional<std::uint32_t> pipeline_shards;
   std::optional<std::uint32_t> pipeline_queue;
   std::optional<std::uint32_t> pipeline_wave;

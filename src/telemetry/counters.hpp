@@ -1,5 +1,5 @@
-// Aggregation utilities used by the evaluation harness: unique-entity
-// counters, hourly series, and the byte-weighted heavy-hitter view that
+// Aggregation utilities used by the evaluation harness: stage-queue
+// snapshots, hourly series, and the byte-weighted heavy-hitter view that
 // drives the paper's Fig. 6 visibility analysis.
 #pragma once
 
@@ -50,27 +50,6 @@ struct StageStats {
     capacity += other.capacity;
     return *this;
   }
-};
-
-/// Set-backed unique counter.
-template <typename T>
-class UniqueCounter {
- public:
-  /// Returns true when the value was new.
-  bool add(const T& value) { return set_.insert(value).second; }
-
-  [[nodiscard]] std::size_t count() const noexcept { return set_.size(); }
-  [[nodiscard]] bool contains(const T& value) const {
-    return set_.contains(value);
-  }
-  void clear() { set_.clear(); }
-
-  [[nodiscard]] const std::unordered_set<T>& values() const noexcept {
-    return set_;
-  }
-
- private:
-  std::unordered_set<T> set_;
 };
 
 /// Per-IP byte accounting over one time bin; answers "which fraction of the

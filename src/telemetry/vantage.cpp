@@ -54,31 +54,4 @@ std::vector<simnet::LabeledFlow> IspVantage::observe(
   return survivors;
 }
 
-std::vector<simnet::LabeledFlow> IxpVantage::observe(
-    const std::vector<simnet::LabeledFlow>& flows, util::HourBin hour) {
-  std::vector<simnet::LabeledFlow> survivors;
-  std::vector<flow::FlowRecord> records;
-  for (const auto& lf : flows) {
-    util::Pcg32 rng = util::derive_rng(
-        config_.seed, lf.flow.key.hash() ^ lf.flow.start_ms, hour);
-    auto thin = flow::thin_flow(lf.flow, config_.sampling, rng);
-    if (!thin) continue;
-    if (config_.require_established_tcp && !thin->shows_established_tcp()) {
-      continue;
-    }
-    simnet::LabeledFlow out = lf;
-    out.flow = *thin;
-    survivors.push_back(std::move(out));
-    records.push_back(*thin);
-  }
-  if (config_.wire_roundtrip && !records.empty()) {
-    const auto decoded =
-        roundtrip(exporter_, collector_, records, 1574000000U + hour * 3600U);
-    for (std::size_t i = 0; i < survivors.size(); ++i) {
-      survivors[i].flow = decoded[i];
-    }
-  }
-  return survivors;
-}
-
 }  // namespace haystack::telemetry

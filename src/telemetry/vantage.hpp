@@ -7,10 +7,11 @@
 //     thinning per flow), then optionally a *real* NetFlow v9
 //     encode-transmit-decode round trip, so the wire codec sits on the
 //     measurement path exactly as in production.
-//   * IxpVantage — IPFIX at an order-of-magnitude lower sampling, plus the
-//     established-TCP guard the paper applies against spoofing.
+//   * The IXP fabric's IPFIX vantage is simnet::WildIxpSim (simnet/ixp.hpp):
+//     an order-of-magnitude lower sampling rate plus the established-TCP
+//     guard the paper applies against spoofing.
 //
-// Both preserve the simulation's ground-truth labels alongside each
+// IspVantage preserves the simulation's ground-truth labels alongside each
 // surviving flow so that evaluation code can compute visibility without
 // re-identification.
 #pragma once
@@ -19,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "flow/ipfix.hpp"
 #include "flow/netflow_v9.hpp"
 #include "flow/sampler.hpp"
 #include "simnet/ground_truth.hpp"
@@ -58,37 +58,6 @@ class IspVantage {
   Config config_;
   flow::nf9::Exporter exporter_;
   flow::nf9::Collector collector_;
-};
-
-/// IXP fabric IPFIX vantage.
-class IxpVantage {
- public:
-  struct Config {
-    std::uint64_t seed = 2021;
-    std::uint32_t sampling = 10'000;
-    bool wire_roundtrip = true;
-    /// Require TCP flows to show an established connection (Sec. 6.3).
-    bool require_established_tcp = true;
-  };
-
-  explicit IxpVantage(const Config& config)
-      : config_{config},
-        exporter_{{.observation_domain = 42,
-                   .max_records_per_message = 24,
-                   .template_refresh_messages = 16}} {}
-
-  [[nodiscard]] std::vector<simnet::LabeledFlow> observe(
-      const std::vector<simnet::LabeledFlow>& flows, util::HourBin hour);
-
-  [[nodiscard]] const flow::ipfix::CollectorStats& wire_stats()
-      const noexcept {
-    return collector_.stats();
-  }
-
- private:
-  Config config_;
-  flow::ipfix::Exporter exporter_;
-  flow::ipfix::Collector collector_;
 };
 
 }  // namespace haystack::telemetry

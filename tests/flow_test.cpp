@@ -1,13 +1,10 @@
 // Unit tests for the flow substrate: byte-stream primitives, the NetFlow v9
 // and IPFIX codecs (round trips, template statefulness, malformed input),
-// samplers (statistical properties), and the flow cache.
+// and binomial flow thinning (statistical properties).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
-#include <set>
 
-#include "flow/flow_cache.hpp"
 #include "flow/gap_tracker.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v9.hpp"
@@ -677,27 +674,6 @@ TEST(OptionsTest, ZeroSamplingIntervalClampedAndCounted) {
   EXPECT_EQ(collector.stats().zero_sampling_announcements, 1u);
 }
 
-TEST(SamplerTest, SystematicSelectsExactFraction) {
-  SystematicSampler sampler{10};
-  int selected = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (sampler.sample()) ++selected;
-  }
-  EXPECT_EQ(selected, 100);
-  SystematicSampler all{1};
-  EXPECT_TRUE(all.sample());
-}
-
-TEST(SamplerTest, RandomSamplerApproximatesRate) {
-  RandomSampler sampler{100, util::Pcg32{5, 5}};
-  int selected = 0;
-  constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) {
-    if (sampler.sample()) ++selected;
-  }
-  EXPECT_NEAR(static_cast<double>(selected) / kN, 0.01, 0.002);
-}
-
 TEST(SamplerTest, BinomialMoments) {
   util::Pcg32 rng{31, 7};
   // Small-n exact path.
@@ -748,99 +724,6 @@ TEST(SamplerTest, ThinFlowIdentityAtIntervalOne) {
   ASSERT_TRUE(thin.has_value());
   EXPECT_EQ(thin->packets, rec.packets);
   EXPECT_EQ(thin->bytes, rec.bytes);
-}
-
-TEST(FlowCacheTest, AggregatesPacketsIntoFlow) {
-  FlowCache cache{{.active_timeout_ms = 60'000, .idle_timeout_ms = 15'000}};
-  std::vector<FlowRecord> out;
-  PacketEvent pkt;
-  pkt.key = make_record(1).key;
-  pkt.bytes = 100;
-  for (int i = 0; i < 5; ++i) {
-    pkt.timestamp_ms = 1000 + static_cast<std::uint64_t>(i) * 10;
-    pkt.tcp_flags = i == 0 ? tcpflags::kSyn : tcpflags::kAck;
-    cache.add(pkt, out);
-  }
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(cache.active_flows(), 1u);
-  cache.flush_all(out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].packets, 5u);
-  EXPECT_EQ(out[0].bytes, 500u);
-  EXPECT_EQ(out[0].tcp_flags, tcpflags::kSyn | tcpflags::kAck);
-  EXPECT_EQ(out[0].start_ms, 1000u);
-  EXPECT_EQ(out[0].end_ms, 1040u);
-}
-
-TEST(FlowCacheTest, IdleTimeoutExpires) {
-  FlowCache cache{{.active_timeout_ms = 600'000, .idle_timeout_ms = 10'000}};
-  std::vector<FlowRecord> out;
-  PacketEvent a;
-  a.key = make_record(1).key;
-  a.timestamp_ms = 0;
-  a.bytes = 10;
-  cache.add(a, out);
-  PacketEvent b;
-  b.key = make_record(2).key;
-  b.timestamp_ms = 30'000;  // sweeps out flow A
-  b.bytes = 10;
-  cache.add(b, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].key, a.key);
-}
-
-TEST(FlowCacheTest, ActiveTimeoutSplitsLongFlow) {
-  FlowCache cache{{.active_timeout_ms = 60'000, .idle_timeout_ms = 600'000}};
-  std::vector<FlowRecord> out;
-  PacketEvent pkt;
-  pkt.key = make_record(3).key;
-  pkt.bytes = 1;
-  for (std::uint64_t t = 0; t <= 70'000; t += 1'000) {
-    pkt.timestamp_ms = t;
-    cache.add(pkt, out);
-  }
-  EXPECT_GE(out.size(), 1u);  // at least one active-timeout export
-}
-
-TEST(FlowCacheTest, MaxEntriesEmergencyExpiryBoundsResidency) {
-  // Under key churn the cache must stay within max_entries (emergency
-  // expiry, as routers evict under table pressure) while conserving every
-  // packet and byte across the records it exports.
-  constexpr std::size_t kMaxEntries = 16;
-  FlowCache cache{{.active_timeout_ms = 600'000,
-                   .idle_timeout_ms = 600'000,  // only the bound can expire
-                   .max_entries = kMaxEntries}};
-  std::vector<FlowRecord> out;
-  constexpr std::uint64_t kPackets = 500;
-  std::uint64_t bytes_in = 0;
-  for (std::uint64_t i = 0; i < kPackets; ++i) {
-    PacketEvent pkt;
-    pkt.key = make_record(1).key;
-    pkt.key.src_port = static_cast<std::uint16_t>(i);  // distinct keys
-    pkt.bytes = 40 + static_cast<std::uint32_t>(i % 7);
-    pkt.timestamp_ms = 1000 + i;
-    bytes_in += pkt.bytes;
-    cache.add(pkt, out);
-    EXPECT_LE(cache.active_flows(), kMaxEntries) << "packet " << i;
-  }
-  EXPECT_GE(out.size(), kPackets - kMaxEntries);  // churn forced exports
-  cache.flush_all(out);
-  EXPECT_EQ(cache.active_flows(), 0u);
-
-  // Conservation: every packet and byte surfaces in exactly one record,
-  // and no key is exported twice without an intervening re-insert.
-  std::uint64_t packets_out = 0;
-  std::uint64_t bytes_out = 0;
-  std::set<std::uint16_t> ports;
-  for (const auto& rec : out) {
-    packets_out += rec.packets;
-    bytes_out += rec.bytes;
-    EXPECT_TRUE(ports.insert(rec.key.src_port).second)
-        << "duplicate export for port " << rec.key.src_port;
-  }
-  EXPECT_EQ(packets_out, kPackets);
-  EXPECT_EQ(bytes_out, bytes_in);
-  EXPECT_EQ(ports.size(), kPackets);  // one record per distinct key
 }
 
 TEST(EstablishedTcpTest, RequiresAckAndPush) {

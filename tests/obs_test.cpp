@@ -189,32 +189,11 @@ TEST(ExportTest, PrometheusRoundTrip) {
   EXPECT_EQ(by_key.at("wave_ns_bucket|le=3|stage=decode"), 2.0);
 }
 
-TEST(ExportTest, JsonRoundTripMatchesPrometheus) {
-  MetricRegistry reg;
-  populated_registry(reg);
-  std::string error;
-  const auto from_prom = obs::parse_prometheus(obs::to_prometheus(reg), &error);
-  ASSERT_TRUE(from_prom.has_value()) << error;
-  const auto from_json = obs::parse_json(obs::to_json(reg), &error);
-  ASSERT_TRUE(from_json.has_value()) << error;
-
-  // Same series, same values, sample-for-sample (order included: both
-  // flatten the same sorted snapshot).
-  ASSERT_EQ(from_prom->size(), from_json->size());
-  for (std::size_t i = 0; i < from_prom->size(); ++i) {
-    EXPECT_EQ((*from_prom)[i].name, (*from_json)[i].name) << i;
-    EXPECT_EQ((*from_prom)[i].labels, (*from_json)[i].labels) << i;
-    EXPECT_EQ((*from_prom)[i].value, (*from_json)[i].value) << i;
-  }
-}
-
 TEST(ExportTest, ParsersRejectMalformedInput) {
   std::string error;
   EXPECT_FALSE(obs::parse_prometheus("no_value_here\n", &error).has_value());
   EXPECT_FALSE(
       obs::parse_prometheus("bad{unterminated=\"x 1\n", &error).has_value());
-  EXPECT_FALSE(obs::parse_json("{\"metrics\":[", &error).has_value());
-  EXPECT_FALSE(obs::parse_json("{\"wrong\":[]}", &error).has_value());
   EXPECT_TRUE(obs::parse_prometheus("", &error).has_value());
   EXPECT_TRUE(obs::parse_prometheus("# just a comment\n", &error).has_value());
 }
@@ -295,7 +274,6 @@ TEST(ReporterTest, BackgroundThreadScrapesPeriodically) {
   obs::FlightRecorder rec{64};
   obs::ReporterConfig config;
   config.period = std::chrono::milliseconds{5};
-  config.format = obs::ExportFormat::kJson;
   config.recorder = &rec;
   std::atomic<int> delivered{0};
   obs::Reporter rep{reg, config, [&](const std::string&) { ++delivered; }};

@@ -1,6 +1,6 @@
 // Tests for the deployment-grade pipelines: the multi-router border fleet
-// (sampling provenance via options announcements) and the packet-level
-// home capture / metering path (conservation through the flow cache).
+// (sampling provenance via options announcements) and the streaming
+// datagram path checked against the synchronous collector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "simnet/ground_truth.hpp"
 #include "simnet/manual_analysis.hpp"
 #include "telemetry/border_fleet.hpp"
-#include "telemetry/home_capture.hpp"
 
 namespace haystack {
 namespace {
@@ -104,53 +103,6 @@ TEST_F(PipelineTest, FleetDetectionMatchesSingleVantageStatistically) {
     ASSERT_NE(rule, nullptr);
     EXPECT_TRUE(det.detected(1, rule->service)) << name;
   }
-}
-
-TEST_F(PipelineTest, HomeCaptureConservesEventsAndBytes) {
-  telemetry::HomePacketPipeline pipeline{{}};
-  const auto flows = gt_->hour_flows(26);
-  auto result = pipeline.meter_hour(flows, 26);
-  auto rest = pipeline.drain();
-  result.flows.insert(result.flows.end(), rest.begin(), rest.end());
-
-  std::uint64_t pkts_out = 0;
-  std::uint64_t bytes_out = 0;
-  for (const auto& rec : result.flows) {
-    pkts_out += rec.packets;
-    bytes_out += rec.bytes;
-  }
-  EXPECT_EQ(pkts_out, result.events_in);
-  EXPECT_EQ(bytes_out, result.bytes_in);
-  // Under the default cap almost all flows materialize 1 event per packet.
-  EXPECT_GE(result.events_in, result.packets_in * 95 / 100);
-}
-
-TEST_F(PipelineTest, HomeCapturePreservesKeyUniverse) {
-  telemetry::HomePacketPipeline pipeline{{}};
-  const auto flows = gt_->hour_flows(27);
-  auto result = pipeline.meter_hour(flows, 27);
-  auto rest = pipeline.drain();
-  result.flows.insert(result.flows.end(), rest.begin(), rest.end());
-
-  std::set<flow::FlowKey> in_keys;
-  std::set<flow::FlowKey> out_keys;
-  for (const auto& lf : flows) in_keys.insert(lf.flow.key);
-  for (const auto& rec : result.flows) out_keys.insert(rec.key);
-  EXPECT_EQ(in_keys, out_keys);
-}
-
-TEST_F(PipelineTest, HomeCaptureCapBoundsMemoryNotTotals) {
-  telemetry::HomeCaptureConfig config;
-  config.max_packets_per_flow = 8;
-  telemetry::HomePacketPipeline pipeline{config};
-  const auto flows = gt_->hour_flows(28);
-  auto result = pipeline.meter_hour(flows, 28);
-  auto rest = pipeline.drain();
-  result.flows.insert(result.flows.end(), rest.begin(), rest.end());
-  std::uint64_t bytes_out = 0;
-  for (const auto& rec : result.flows) bytes_out += rec.bytes;
-  EXPECT_EQ(bytes_out, result.bytes_in);  // bytes exact even when capped
-  EXPECT_LE(result.events_in, flows.size() * 8);
 }
 
 using EvidenceRow =

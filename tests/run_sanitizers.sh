@@ -15,7 +15,7 @@
 # ShardedDetector worker threads and the streaming IngestPipeline's two
 # intake stages, the header pass and the body workers), the concurrency
 # stress/soak suite (ctest label `stress`: backpressure, shutdown
-# mid-stream, restart-after-drain, the body workers' ordered commit, and
+# mid-stream, stop-then-refuse, the body workers' ordered commit, and
 # concurrent push_flows callers, which run the normalizer on their own
 # threads), the observability suite
 # (ctest label `obs`: concurrent scrape-while-ingesting under load,

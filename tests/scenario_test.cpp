@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "simnet/scenario.hpp"
 
@@ -76,6 +77,21 @@ TEST(ScenarioTest, SyntaxErrorsReported) {
   expect_error("rotation 1.5\n");
   expect_error("penetration \"Echo Dot\" 2.0\n");
   expect_error("lines notanumber\n");
+  // Unsigned keys refuse a sign instead of wrapping -1 to the maximum.
+  for (const char* key :
+       {"seed", "lines", "sampling", "pipeline_shards", "pipeline_queue",
+        "pipeline_wave", "impair_seed", "delta_seed", "vantage_collectors",
+        "vantage_kill_collector", "vantage_kill_hour",
+        "vantage_restart_hour"}) {
+    expect_error(std::string{key} + " -1\n");
+  }
+  // Keys that size threads or buffers are bounded; the bound itself parses.
+  expect_error("pipeline_shards 257\n");
+  expect_error("vantage_collectors 257\n");
+  expect_error("pipeline_wave 65537\n");
+  std::istringstream at_bounds{
+      "pipeline_shards 256\nvantage_collectors 256\npipeline_wave 65536\n"};
+  EXPECT_TRUE(parse_scenario(at_bounds).has_value());
 }
 
 TEST(ScenarioTest, EmptyInputIsValid) {

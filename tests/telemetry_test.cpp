@@ -1,27 +1,14 @@
-// Tests for the telemetry layer: counters, heavy-hitter views, direction
-// normalization / anonymization, and the IXP vantage's established-TCP
-// guard.
+// Tests for the telemetry layer: heavy-hitter views, hourly series,
+// stage-queue snapshots, and direction normalization / anonymization.
 #include <gtest/gtest.h>
 
 #include "net/asn.hpp"
 #include "pipeline/bounded_queue.hpp"
 #include "telemetry/anonymize.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/vantage.hpp"
 
 namespace haystack::telemetry {
 namespace {
-
-TEST(UniqueCounterTest, CountsDistinct) {
-  UniqueCounter<int> counter;
-  EXPECT_TRUE(counter.add(1));
-  EXPECT_FALSE(counter.add(1));
-  EXPECT_TRUE(counter.add(2));
-  EXPECT_EQ(counter.count(), 2u);
-  EXPECT_TRUE(counter.contains(1));
-  counter.clear();
-  EXPECT_EQ(counter.count(), 0u);
-}
 
 TEST(HeavyHitterTest, TopFractionByBytes) {
   HeavyHitterView hh;
@@ -208,32 +195,6 @@ TEST_F(DirectionTest, PeerToPeerDropped) {
   rec.key.dst_port = 51000;
   NormalizedFlow norm;
   EXPECT_FALSE(normalize_direction(rec, asns_, norm));
-}
-
-TEST(IxpVantageTest, EstablishedTcpGuardDropsSynOnly) {
-  IxpVantage vantage{{.sampling = 1, .wire_roundtrip = false,
-                      .require_established_tcp = true}};
-  simnet::LabeledFlow syn_only;
-  syn_only.flow.key.src = net::IpAddress::v4(1);
-  syn_only.flow.key.dst = net::IpAddress::v4(2);
-  syn_only.flow.key.proto = 6;
-  syn_only.flow.tcp_flags = flow::tcpflags::kSyn;
-  syn_only.flow.packets = 10;
-
-  simnet::LabeledFlow established = syn_only;
-  established.flow.tcp_flags =
-      flow::tcpflags::kSyn | flow::tcpflags::kAck | flow::tcpflags::kPsh;
-
-  simnet::LabeledFlow udp = syn_only;
-  udp.flow.key.proto = 17;
-  udp.flow.tcp_flags = 0;
-
-  const auto out =
-      vantage.observe({syn_only, established, udp}, 0);
-  // SYN-only is dropped; the established TCP flow and UDP pass.
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_TRUE(out[0].flow.shows_established_tcp());
-  EXPECT_TRUE(out[1].flow.shows_established_tcp());
 }
 
 }  // namespace
